@@ -20,6 +20,7 @@ from .lorentz_algebra import (
     contraction_residual,
     generator,
     group_element,
+    invariance_residual,
     leaves_invariant,
     matrix_exponential,
     planar_commutation_check,

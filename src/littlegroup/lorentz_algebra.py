@@ -22,7 +22,12 @@ Generator conventions, entry by entry (all other entries zero):
 Rotations act right-handedly: exp(-i theta J3) maps (1, 0, 0, 0) to
 (cos theta, sin theta, 0, 0).  exp(-i eta K3) restricted to the (z, t)
 block is [[cosh eta, sinh eta], [sinh eta, cosh eta]].  With these
-conventions every group element exp(-i theta G) is a real matrix.
+conventions K = -iG is real, and every group element is the closed form
+
+    exp(-i theta G) = I + a(theta) K + b(theta) K^2
+
+with (a, b) = (sin, 1 - cos) for J1..J3 (K^3 = -K), (sinh, cosh - 1) for
+K1..K3 (K^3 = K), and (theta, theta^2 / 2) for N1, N2 (K^3 = 0).
 
 The planar generators act on homogeneous coordinates (x, y, 1):
 
@@ -76,7 +81,7 @@ def _build_generators() -> dict[str, np.ndarray]:
         gens[f"K{a}"] = boost
     gens["N1"] = gens["K1"] - gens["J2"]
     gens["N2"] = gens["K2"] + gens["J1"]
-    return {label: _readonly(m) for label, m in gens.items()}
+    return {label: _readonly(gens[label]) for label in GENERATOR_LABELS}
 
 
 def _build_planar() -> dict[str, np.ndarray]:
@@ -92,6 +97,29 @@ def _build_planar() -> dict[str, np.ndarray]:
 
 GENERATOR_MATRICES: Mapping[str, np.ndarray] = _build_generators()
 PLANAR_MATRICES: Mapping[str, np.ndarray] = _build_planar()
+
+#: (a, b) of exp(-i theta G) = I + a K + b K^2 by generator class.  For
+#: J and K, K^2 is diagonal, so b only adds to an identity entry: the
+#: diagonal comes out as cos or cosh itself
+_COEFFICIENTS = {
+    "J": lambda t: (math.sin(t), 1.0 - math.cos(t)),
+    "K": lambda t: (math.sinh(t), math.cosh(t) - 1.0),
+    "N": lambda t: (t, 0.5 * t * t),
+}
+
+
+def _closed_form(label: str) -> tuple:
+    k = (-1j * GENERATOR_MATRICES[label]).real   # -iG has no imaginary part
+    k2 = (k[:, :, None] * k).sum(axis=1)   # K @ K; a matmul would load BLAS at import
+    return _COEFFICIENTS[label[0]], _readonly(k), _readonly(k2)
+
+
+#: label -> (coefficients, K, K^2)
+_CLOSED_FORMS = {label: _closed_form(label) for label in GENERATOR_MATRICES}
+_IDENTITY = _readonly(np.eye(4))
+
+#: contraction source -> (sign of the family, label of its limit)
+_CONTRACTION_SOURCES = {"J2": (1.0, "N1"), "J1": (-1.0, "N2")}
 
 
 @dataclass(frozen=True)
@@ -158,20 +186,20 @@ class GroupElement:
         return FourVector.from_array(self.matrix @ p.as_array())
 
 
+def _lookup(table: Mapping, key, what: str):
+    if key not in table:
+        raise ValueError(f"unknown {what} {key!r}; expected one of {tuple(table)}")
+    return table[key]
+
+
 def generator(label: str) -> Generator:
     """Canonical generator for one of J1..J3, K1..K3, N1, N2."""
-    if label not in GENERATOR_MATRICES:
-        raise ValueError(f"unknown generator label {label!r}; "
-                         f"expected one of {GENERATOR_LABELS}")
-    return Generator(label, GENERATOR_MATRICES[label])
+    return Generator(label, _lookup(GENERATOR_MATRICES, label, "generator label"))
 
 
 def planar_generator(label: str) -> PlanarGenerator:
     """Canonical plane-group generator L, Px, or Py."""
-    if label not in PLANAR_MATRICES:
-        raise ValueError(f"unknown planar label {label!r}; "
-                         f"expected one of {PLANAR_LABELS}")
-    return PlanarGenerator(label, PLANAR_MATRICES[label])
+    return PlanarGenerator(label, _lookup(PLANAR_MATRICES, label, "planar label"))
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -187,11 +215,12 @@ def commutator(a, b) -> np.ndarray:
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """exp(a) by scaling and squaring with a truncated power series.
+    """exp(a) of a general square matrix by scaling and squaring.
 
-    The argument is scaled below norm 1/2, summed to convergence at
-    double precision, and squared back up.  Adequate for the small dense
-    matrices used here at parameters up to |theta| ~ 20.
+    The argument is scaled below norm 1/2, summed as a truncated power
+    series to convergence at double precision, and squared back up.  A
+    general utility (the planar E(2) elements use it); group_element
+    does not, because every Lorentz generator has an exact exponential.
     """
     a = np.asarray(a, dtype=complex)
     norm = float(np.abs(a).sum(axis=0).max())
@@ -210,31 +239,40 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
 
 
 def group_element(g: Generator | str, theta: float) -> GroupElement:
-    """Finite transformation exp(-i theta g), returned as a real matrix.
+    """Finite transformation exp(-i theta g) as a real matrix, in closed form.
 
-    The imaginary residue of the exponential must vanish to 1e-12 per
-    entry (it is identically zero for the canonical generators) and is
-    stripped from the result.
+    I + a K + b K^2 with K = -ig: (a, b) is (sin, 1 - cos) for a
+    rotation, (sinh, cosh - 1) for a boost, and (theta, theta^2 / 2) for
+    N1 and N2.  A parameter whose element overflows double precision is
+    refused with ValueError.
     """
-    if isinstance(g, str):
-        g = generator(g)
+    label = g if isinstance(g, str) else g.label
+    coefficients, k, k2 = _lookup(_CLOSED_FORMS, label, "generator label")
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("group parameter must be finite")
-    m = matrix_exponential(-1j * theta * g.matrix)
-    residue = float(np.abs(m.imag).max())
-    if residue > 1e-12:
-        raise ValueError(f"group element for {g.label} is not real "
-                         f"(imaginary residue {residue:.3e})")
-    return GroupElement(_readonly(m.real), g.label, theta)
+    try:
+        a, b = coefficients(theta)
+    except OverflowError:
+        a = b = math.inf
+    # |a| + b bounds every entry: K and K^2 have entries in [-1, 1], b >= 0
+    if not math.isfinite(abs(a) + b):
+        raise ValueError(f"exp(-i theta {label}) overflows double precision "
+                         f"at theta = {theta:g}")
+    return GroupElement(_readonly(_IDENTITY + a * k + b * k2), label, theta)
+
+
+def invariance_residual(elem: GroupElement, p: FourVector) -> float:
+    """Max-norm distance by which elem moves p."""
+    a = p.as_array()
+    return float(np.abs(elem.matrix @ a - a).max())
 
 
 def leaves_invariant(elem: GroupElement, p: FourVector, tol: float) -> bool:
     """True iff elem moves p by at most tol in the max norm."""
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    moved = elem.matrix @ p.as_array() - p.as_array()
-    return float(np.abs(moved).max()) <= tol
+    return invariance_residual(elem, p) <= tol
 
 
 def contracted_generator(eta: float, source: str = "J2") -> np.ndarray:
@@ -250,22 +288,15 @@ def contracted_generator(eta: float, source: str = "J2") -> np.ndarray:
     eta = float(eta)
     if eta < 0:
         raise ValueError("contraction rapidity must be nonnegative")
-    if source == "J2":
-        j, sign = GENERATOR_MATRICES["J2"], 1.0
-    elif source == "J1":
-        j, sign = GENERATOR_MATRICES["J1"], -1.0
-    else:
-        raise ValueError(f"contraction source must be 'J1' or 'J2', got {source!r}")
+    sign, _ = _lookup(_CONTRACTION_SOURCES, source, "contraction source")
     boost = group_element("K3", eta).matrix
     boost_inv = group_element("K3", -eta).matrix
-    return sign * math.exp(-eta) * (boost @ j @ boost_inv)
+    return sign * math.exp(-eta) * (boost @ GENERATOR_MATRICES[source] @ boost_inv)
 
 
 def contraction_limit(source: str = "J2") -> np.ndarray:
     """Large-rapidity limit matrix of contracted_generator."""
-    target = {"J2": "N1", "J1": "N2"}.get(source)
-    if target is None:
-        raise ValueError(f"contraction source must be 'J1' or 'J2', got {source!r}")
+    _, target = _lookup(_CONTRACTION_SOURCES, source, "contraction source")
     return CONTRACTION_LIMIT_COEFFICIENT * GENERATOR_MATRICES[target]
 
 
@@ -281,52 +312,40 @@ def structure_constants(basis: list[np.ndarray]) -> np.ndarray:
     Coefficients are extracted by Frobenius projection, so the basis
     elements must be mutually orthogonal under <A, B> = tr(A^H B).
     """
-    n = len(basis)
-    c = np.zeros((n, n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            comm = commutator(basis[i], basis[j])
-            for k in range(n):
-                c[i, j, k] = np.vdot(basis[k], comm) / np.vdot(basis[k], basis[k])
-    return c
+    b = np.asarray(basis, dtype=complex)
+    products = np.einsum("iab,jbc->ijac", b, b)
+    brackets = products - products.transpose(1, 0, 2, 3)
+    projections = np.einsum("kab,ijab->ijk", b.conj(), brackets)
+    return projections / np.einsum("kab,kab->k", b.conj(), b)
+
+
+def _max_abs(m: np.ndarray) -> float:
+    return float(np.abs(m).max())
 
 
 def _relation_rows(gens: Mapping[str, np.ndarray]) -> list[tuple[str, float]]:
-    eps = _levi_civita
-
-    def resid(m: np.ndarray) -> float:
-        return float(np.abs(m).max())
-
+    cyclic = ((1, 2), (2, 3), (3, 1))
+    every = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
     rows: list[tuple[str, float]] = []
-    for i, j in ((1, 2), (2, 3), (3, 1)):
-        k = 6 - i - j
-        target = 1j * eps(i, j, k) * gens[f"J{k}"]
-        rows.append((f"[J{i} J{j}] = iJ{k}",
-                     resid(commutator(gens[f"J{i}"], gens[f"J{j}"]) - target)))
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
+    # [A_i B_j] = i sign eps_ijk C_k
+    for a, b, c, sign, pairs in (("J", "J", "J", 1, cyclic), ("J", "K", "K", 1, every),
+                                 ("K", "K", "J", -1, cyclic)):
+        for i, j in pairs:
+            bracket = commutator(gens[f"{a}{i}"], gens[f"{b}{j}"])
             if i == j:
-                rows.append((f"[J{i} K{j}] = 0",
-                             resid(commutator(gens[f"J{i}"], gens[f"K{j}"]))))
-            else:
-                k = 6 - i - j
-                s = eps(i, j, k)
-                name = f"[J{i} K{j}] = {'i' if s > 0 else '-i'}K{k}"
-                target = 1j * s * gens[f"K{k}"]
-                rows.append((name,
-                             resid(commutator(gens[f"J{i}"], gens[f"K{j}"]) - target)))
-    for i, j in ((1, 2), (2, 3), (3, 1)):
-        k = 6 - i - j
-        target = -1j * eps(i, j, k) * gens[f"J{k}"]
-        rows.append((f"[K{i} K{j}] = -iJ{k}",
-                     resid(commutator(gens[f"K{i}"], gens[f"K{j}"]) - target)))
-    rows.append(("N1 = K1 - J2", resid(gens["N1"] - (gens["K1"] - gens["J2"]))))
-    rows.append(("N2 = K2 + J1", resid(gens["N2"] - (gens["K2"] + gens["J1"]))))
-    rows.append(("[N1 N2] = 0", resid(commutator(gens["N1"], gens["N2"]))))
+                rows.append((f"[{a}{i} {b}{j}] = 0", _max_abs(bracket)))
+                continue
+            k = 6 - i - j
+            s = sign * _levi_civita(i, j, k)
+            rows.append((f"[{a}{i} {b}{j}] = {'i' if s > 0 else '-i'}{c}{k}",
+                         _max_abs(bracket - 1j * s * gens[f"{c}{k}"])))
+    rows.append(("N1 = K1 - J2", _max_abs(gens["N1"] - (gens["K1"] - gens["J2"]))))
+    rows.append(("N2 = K2 + J1", _max_abs(gens["N2"] - (gens["K2"] + gens["J1"]))))
+    rows.append(("[N1 N2] = 0", _max_abs(commutator(gens["N1"], gens["N2"]))))
     rows.append(("[J3 N1] = iN2",
-                 resid(commutator(gens["J3"], gens["N1"]) - 1j * gens["N2"])))
+                 _max_abs(commutator(gens["J3"], gens["N1"]) - 1j * gens["N2"])))
     rows.append(("[J3 N2] = -iN1",
-                 resid(commutator(gens["J3"], gens["N2"]) + 1j * gens["N1"])))
+                 _max_abs(commutator(gens["J3"], gens["N2"]) + 1j * gens["N1"])))
     return rows
 
 
@@ -348,14 +367,10 @@ def planar_commutation_check() -> list[tuple[str, float]]:
     massless little group is E(2)-like.
     """
     ell, px, py = (PLANAR_MATRICES[k] for k in PLANAR_LABELS)
-
-    def resid(m: np.ndarray) -> float:
-        return float(np.abs(m).max())
-
     rows = [
-        ("[Px Py] = 0", resid(commutator(px, py))),
-        ("[L Px] = iPy", resid(commutator(ell, px) - 1j * py)),
-        ("[L Py] = -iPx", resid(commutator(ell, py) + 1j * px)),
+        ("[Px Py] = 0", _max_abs(commutator(px, py))),
+        ("[L Px] = iPy", _max_abs(commutator(ell, px) - 1j * py)),
+        ("[L Py] = -iPx", _max_abs(commutator(ell, py) + 1j * px)),
     ]
     little = [GENERATOR_MATRICES[k] for k in ("J3", "N1", "N2")]
     mismatch = np.abs(structure_constants(little)

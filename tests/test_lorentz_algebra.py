@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from littlegroup import lorentz_algebra as la
@@ -151,6 +153,65 @@ def test_matrix_exponential_against_scipy(label, theta):
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
+@pytest.mark.parametrize("theta", [-20.0, -3.3, 0.1, 2.7, 20.0])
+def test_group_element_against_scipy(label, theta):
+    ref = scipy_expm(-1j * theta * la.generator(label).matrix)
+    got = la.group_element(label, theta).matrix
+    scale = np.maximum(1.0, np.abs(ref))
+    assert (np.abs(got - ref) / scale).max() <= 1e-12
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
+def test_closed_form_generator_class(label):
+    # K = -iG obeys K^3 = -K (rotation), K (boost) or 0 (N1, N2), which
+    # is what makes I + a K + b K^2 the whole exponential series
+    _, k, k2 = la._CLOSED_FORMS[label]
+    assert np.array_equal(k, (-1j * la.generator(label).matrix).real)
+    assert np.array_equal(k2, k @ k)
+    sign = {"J": -1.0, "K": 1.0, "N": 0.0}[label[0]]
+    assert np.array_equal(k2 @ k, sign * k)
+
+
+any_label = st.sampled_from(ALL_LABELS)
+any_angle = st.floats(-20.0, 20.0)
+
+
+@given(any_label, any_angle, any_angle)
+def test_subgroup_law_property(label, a, b):
+    ga = la.group_element(label, a).matrix
+    gb = la.group_element(label, b).matrix
+    err = np.abs(ga @ gb - la.group_element(label, a + b).matrix).max()
+    assert err <= 1e-12 * (np.abs(ga) @ np.abs(gb)).max()
+
+
+@given(any_label, any_angle)
+def test_unimodular_property(label, theta):
+    m = la.group_element(label, theta).matrix
+    # Hadamard's bound on |det| is the scale of its rounding error
+    assert abs(np.linalg.det(m) - 1.0) <= 1e-12 * np.prod(np.linalg.norm(m, axis=1))
+
+
+@given(any_label, any_angle, st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+def test_interval_preserved_property(label, theta, p):
+    elem = la.group_element(label, theta)
+    p = la.FourVector(*p)
+    # the sizes of the terms summed into each component of q set its rounding
+    terms = np.abs(elem.matrix) @ np.abs(p.as_array())
+    q = elem.transform(p)
+    assert abs(q.interval() - p.interval()) <= 1e-12 * max(1.0, float(terms @ terms))
+
+
+@pytest.mark.parametrize("label,theta", [("K3", 1000.0), ("K1", -711.0), ("N1", 1e200)])
+def test_overflowing_group_element_refused(label, theta):
+    with pytest.raises(ValueError, match="overflows"):
+        la.group_element(label, theta)
+
+
+def test_largest_boost_is_finite():
+    assert np.isfinite(la.group_element("K3", 700.0).matrix).all()
+
+
+@pytest.mark.parametrize("label", ALL_LABELS)
 def test_one_parameter_subgroup_law(label):
     rng = np.random.default_rng(7)
     for _ in range(5):
@@ -276,6 +337,10 @@ def test_contraction_rejects_bad_input():
         la.contracted_generator(-1.0, "J2")
     with pytest.raises(ValueError):
         la.contracted_generator(1.0, "J3")
+    with pytest.raises(ValueError):
+        la.contraction_limit("J3")
+    with pytest.raises(ValueError, match="overflows"):
+        la.contracted_generator(800.0, "J2")
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +371,17 @@ def test_translation_moves_plane_point():
     px = la.planar_generator("Px").matrix
     shift = la.matrix_exponential(-1j * 2.0 * px).real
     assert shift @ np.array([1.0, 1.0, 1.0]) == pytest.approx([3.0, 1.0, 1.0])
+
+
+def test_structure_constants_match_projection_loop():
+    basis = [la.GENERATOR_MATRICES[k] for k in ("J1", "J2", "J3", "K1", "K2", "K3")]
+    want = np.zeros((6, 6, 6), dtype=complex)
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            for k, c in enumerate(basis):
+                want[i, j, k] = np.vdot(c, la.commutator(a, b)) / np.vdot(c, c)
+    assert np.array_equal(la.structure_constants(basis), want)
+    assert want[0, 1, 2] == 1j and want[3, 4, 2] == -1j
 
 
 def test_structure_constants_of_little_and_planar_triples():
