@@ -37,6 +37,7 @@ INVARIANCE_TOL = 1e-9
 INTERVAL_TOL = 1e-10
 FOURIER_MAX_ERROR_TOL = 1e-6
 PARSEVAL_TOL = 1e-5
+MAX_ETA = 350.0  # e^(2 |eta|) stays finite: contract's scale, a grid's squeeze
 
 _CHECK_SEED = 20260808
 
@@ -158,8 +159,8 @@ def cmd_algebra_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_contract(args) -> int:
-    if args.eta_max <= 0 or args.steps < 1:
-        raise ValueError("contract needs eta-max > 0 and steps >= 1")
+    if not 0 < args.eta_max <= MAX_ETA or args.steps < 1:
+        raise ValueError(f"contract needs 0 < eta-max <= {MAX_ETA:g} and steps >= 1")
     etas = [args.eta_max * k / args.steps for k in range(args.steps + 1)]
     rows = []
     for eta in etas:
@@ -205,6 +206,8 @@ def _parse_grid(spec: str) -> tuple[tuple[float, float, int], ...]:
 
 
 def cmd_squeeze_plot(args) -> int:
+    if not abs(args.eta) <= MAX_ETA:
+        raise ValueError(f"squeeze-plot needs |eta| <= {MAX_ETA:g}")
     state = osc.OscillatorState(args.n, args.eta)
     if args.grid is None:
         space_grid = osc.GridSpec.for_rapidity(args.eta, 65)
@@ -268,6 +271,8 @@ def cmd_squeeze_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fourier_check(args) -> int:
+    if not abs(args.eta) <= MAX_ETA:
+        raise ValueError(f"fourier-check needs |eta| <= {MAX_ETA:g}")
     state = osc.OscillatorState(0, args.eta)
     space_grid = osc.GridSpec.for_rapidity(args.eta, 512)
     momentum_grid = osc.GridSpec.for_rapidity(args.eta, 257)

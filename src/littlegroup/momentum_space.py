@@ -15,7 +15,8 @@ form below is, modulus for modulus, the continuous Fourier transform
 
 which fourier_numeric evaluates by direct trapezoidal quadrature
 (vectorized as two dense matrix products, not an FFT) for arbitrary
-output grids.
+output grids; a real field takes its first product in real arithmetic.
+The closed form is the oscillator kernel's n = 0 wave function at (q_u, q_v).
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .oscillator import (
     GridSpec,
     OscillatorState,
     ScalarField,
+    _psi,
+    _sample_grid,
     marginal_variance,
 )
 
@@ -72,20 +75,13 @@ def momentum_wavefunction(eta: float, q: MomentumPoint) -> float:
     (1/pi)^(1/2) exp(-(e^-2eta q_u^2 + e^2eta q_v^2) / 2); isotropic at
     eta = 0, elongated along the q_u axis for eta > 0.
     """
-    em, ep = math.exp(-eta), math.exp(eta)
-    return (1.0 / math.pi) ** 0.5 * math.exp(
-        -0.5 * (em**2 * q.q_u**2 + ep**2 * q.q_v**2))
+    return float(_psi(0, eta, q.q_u, q.q_v))
 
 
 def sample_momentum_wavefunction(eta: float, grid: GridSpec) -> ScalarField:
     """Closed-form momentum wave function sampled on a (q_z, q_0) grid."""
-    qz, q0 = grid.meshgrid()
-    qu = (qz + q0) / SQRT2
-    qv = (qz - q0) / SQRT2
-    em, ep = math.exp(-eta), math.exp(eta)
-    values = (1.0 / math.pi) ** 0.5 * np.exp(
-        -0.5 * (em**2 * qu**2 + ep**2 * qv**2))
-    return ScalarField(grid, values, OscillatorState(0, eta), MOMENTUM_ENERGY)
+    return ScalarField(grid, _sample_grid(0, eta, grid), OscillatorState(0, eta),
+                       MOMENTUM_ENERGY)
 
 
 def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
@@ -102,9 +98,13 @@ def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
     wz, wt = field.grid.trapezoid_weights()
     qz = momentum_grid.z_axis
     q0 = momentum_grid.t_axis
-    kernel_z = np.exp(-1j * np.outer(qz, z)) * wz
+    kernel_z = np.exp(-1j * np.outer(z, qz)) * wz[:, None]
     kernel_t = np.exp(1j * np.outer(q0, t)) * wt
-    values = (kernel_z @ field.values.astype(complex) @ kernel_t.T) / (2.0 * math.pi)
+    if np.iscomplexobj(field.values):
+        half = field.values.T @ kernel_z
+    else:  # one real product: kernel_z's real and imaginary parts are adjacent columns
+        half = (field.values.T @ kernel_z.view(float)).view(complex)
+    values = (half.T @ kernel_t.T) / (2.0 * math.pi)
     tail_ok = field.tail_ok
     if field.state is not None:
         tail_ok = tail_ok and field.grid.covers_tails(field.state.eta)
@@ -121,5 +121,4 @@ def central_region_mask(grid: GridSpec, eta: float,
                         n_sigmas: float = 4.0) -> np.ndarray:
     """Boolean mask of grid nodes within n_sigmas marginal widths of 0."""
     bound = n_sigmas * marginal_sigma(eta)
-    qz, q0 = grid.meshgrid()
-    return (np.abs(qz) <= bound) & (np.abs(q0) <= bound)
+    return (np.abs(grid.z_axis) <= bound)[:, None] & (np.abs(grid.t_axis) <= bound)

@@ -28,6 +28,8 @@ class BeamSpec:
     mass: float = DEFAULT_PROTON_MASS_GEV
 
     def __post_init__(self):
+        if not (math.isfinite(self.energy) and math.isfinite(self.mass)):
+            raise ValueError("beam energy and mass must be finite")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
         if self.energy < self.mass:

@@ -265,3 +265,40 @@ def test_stdout_default(capsys):
     out = capsys.readouterr().out
     assert out.startswith("eta,")
     assert out.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# out-of-range arguments: exit 2, one line on stderr, nothing on stdout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--energy", "nan"],
+    ["coherence", "--energy", "inf"],
+    ["contract", "--eta-max", "1e3"],
+    ["contract", "--eta-max", "nan"],
+    ["squeeze-plot", "--eta", "800"],
+    ["fourier-check", "--eta", "800"],
+    ["fourier-check", "--eta=-inf"],
+])
+def test_out_of_range_argument_is_refused(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_refusal_has_no_traceback_in_a_fresh_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "littlegroup", "contract", "--eta-max", "1e3"],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
+
+
+def test_largest_accepted_rapidity_still_runs(tmp_path):
+    code, text = run_to_file(tmp_path, "c.csv", ["contract", "--eta-max", "350"])
+    assert code == 0
+    assert all(math.isfinite(float(x)) for row in text.split("\n")[1:-1]
+               for x in row.split(","))

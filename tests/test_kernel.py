@@ -1,0 +1,149 @@
+"""The light-cone kernel: blocked grids against pointwise values, oracles, memory."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from littlegroup import momentum_space as ms
+from littlegroup import oscillator as osc
+
+SQRT2 = math.sqrt(2.0)
+MIB = 2**20
+
+
+def rest_frame_reference(n, eta, z, t):
+    """psi_n from scipy's H_n at the rest-frame point of (z, t)."""
+    from scipy.special import eval_hermite
+    u, v = (z + t) / SQRT2, (z - t) / SQRT2
+    x = (math.exp(-eta) * u + math.exp(eta) * v) / SQRT2
+    y = (math.exp(-eta) * u - math.exp(eta) * v) / SQRT2
+    norm = 1.0 / math.sqrt(math.pi * math.factorial(n) * 2.0**n)
+    return norm * eval_hermite(n, x) * np.exp(-(x * x + y * y) / 2.0)
+
+
+# ---------------------------------------------------------------------------
+# the blocked grid and the pointwise kernel agree
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, osc.MAX_EXCITATION), st.floats(-8.0, 8.0),
+       st.integers(16, 700), st.integers(16, 700))
+@example(30, 0.0, 16, 16)                   # far less than one block
+@example(4, 1.5, 700, 700)                  # rows per block do not divide n_z
+@example(0, -3.0, osc.BLOCK_POINTS // 16 + 1, 16)  # one row past a block
+def test_blocked_sample_equals_pointwise(n, eta, n_z, n_t):
+    grid = osc.GridSpec.for_rapidity(eta, 16)
+    grid = osc.GridSpec(grid.z_min, grid.z_max, grid.t_min, grid.t_max, n_z, n_t)
+    state = osc.OscillatorState(n, eta)
+    blocked = osc.sample_wavefunction(state, grid).values
+    zz, tt = grid.meshgrid()
+    pointwise = osc.boosted_wavefunction(state, zz, tt)
+    assert np.abs(blocked - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 20, 29, 30])
+@pytest.mark.parametrize("eta", [0.0, 0.7, -1.3])
+def test_kernel_against_scipy_hermite(n, eta):
+    rng = np.random.default_rng(n)
+    z, t = rng.uniform(-6.0, 6.0, size=(2, 400))
+    want = rest_frame_reference(n, eta, z, t)
+    got = osc.boosted_wavefunction(osc.OscillatorState(n, eta), z, t)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_scalar_input_returns_float():
+    value = osc.boosted_wavefunction(osc.OscillatorState(3, 0.4), 0.3, -0.2)
+    assert isinstance(value, float)
+    assert value == pytest.approx(float(rest_frame_reference(3, 0.4, 0.3, -0.2)),
+                                  rel=1e-13)
+
+
+def test_top_excitation_at_large_rapidity_is_finite():
+    # H_30 overflowing against an underflowed Gaussian gave 231 842 NaNs
+    with np.errstate(over="raise", invalid="raise"):
+        field = osc.sample_wavefunction(osc.OscillatorState(30, 12.0),
+                                        osc.GridSpec.for_rapidity(12.0))
+    assert np.isfinite(field.values).all()
+
+
+def test_excitation_cap_is_checked_on_the_state():
+    with pytest.raises(ValueError, match=r"\[0, 30\]"):
+        osc.OscillatorState(osc.MAX_EXCITATION + 1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# quadrature built on the kernel
+# ---------------------------------------------------------------------------
+
+def test_diagonal_overlap_equals_power_integral():
+    grid = osc.GridSpec.for_rapidity(1.2, 300)
+    for n in (0, 3):
+        state = osc.OscillatorState(n, 1.2)
+        assert osc.overlap(state, state, grid) == osc.power_integral(
+            osc.sample_wavefunction(state, grid))
+
+
+def meshgrid_widths(field):
+    """The light-cone widths as the sum over a full meshgrid."""
+    zz, tt = field.grid.meshgrid()
+    wz, wt = field.grid.trapezoid_weights()
+    weight = np.abs(field.values) ** 2 * wz[:, None] * wt[None, :]
+    mass = weight.sum()
+    return (math.sqrt(np.sum(((zz + tt) / SQRT2) ** 2 * weight) / mass),
+            math.sqrt(np.sum(((zz - tt) / SQRT2) ** 2 * weight) / mass))
+
+
+@pytest.mark.parametrize("n_z, n_t", [(16, 20), (333, 517), (600, 64)])
+def test_blocked_widths_equal_meshgrid_sum(n_z, n_t):
+    grid = osc.GridSpec(-7.0, 9.0, -8.0, 6.5, n_z, n_t)
+    rng = np.random.default_rng(n_z)
+    values = rng.normal(size=(n_z, n_t)) + 1j * rng.normal(size=(n_z, n_t))
+    fields = [osc.ScalarField(grid, values, None, osc.MOMENTUM_ENERGY),
+              osc.sample_wavefunction(osc.OscillatorState(2, 0.8), grid)]
+    for field in fields:
+        got, want = osc.lightcone_widths(field), meshgrid_widths(field)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_real_field_transform_matches_complex_path():
+    field = osc.sample_wavefunction(osc.OscillatorState(2, 0.9),
+                                    osc.GridSpec.for_rapidity(0.9, 200))
+    as_complex = osc.ScalarField(field.grid, field.values.astype(complex),
+                                 field.state, osc.SPACE_TIME)
+    momentum_grid = osc.GridSpec.for_rapidity(0.9, 65)
+    real = ms.fourier_numeric(field, momentum_grid).values
+    complex_ = ms.fourier_numeric(as_complex, momentum_grid).values
+    assert np.abs(real - complex_).max() <= 1e-13
+
+
+def test_central_mask_equals_meshgrid_mask():
+    grid = osc.GridSpec(-9.0, 7.0, -5.0, 12.0, 40, 33)
+    qz, q0 = grid.meshgrid()
+    bound = 4.0 * ms.marginal_sigma(0.6)
+    want = (np.abs(qz) <= bound) & (np.abs(q0) <= bound)
+    assert np.array_equal(ms.central_region_mask(grid, 0.6), want)
+
+
+# ---------------------------------------------------------------------------
+# memory: no grid-sized temporaries
+# ---------------------------------------------------------------------------
+
+def test_large_grid_sample_and_transform_memory():
+    grid = osc.GridSpec.for_rapidity(3.0, 2048)
+    output = grid.n_z * grid.n_t * 8
+    tracemalloc.start()
+    try:
+        field = osc.sample_wavefunction(osc.OscillatorState(4, 3.0), grid)
+        _, sample_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        ms.fourier_numeric(field, osc.GridSpec.for_rapidity(3.0, 65))
+        _, transform_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sample_peak <= 1.1 * output + MIB
+    assert transform_peak - held <= 16 * MIB
