@@ -16,6 +16,9 @@ form below is, modulus for modulus, the continuous Fourier transform
 which fourier_numeric evaluates by direct trapezoidal quadrature
 (vectorized as two dense matrix products, not an FFT) for arbitrary
 output grids; a real field takes its first product in real arithmetic.
+The two phase kernels are exp(-i z q_z) dz and exp(i t q_0) dt; on a square
+window (t axis = z axis, q_0 axis = q_z axis) the second is the complex
+conjugate of the first and is not built again.
 The closed form is the oscillator kernel's n = 0 wave function at (q_u, q_v).
 """
 
@@ -84,6 +87,11 @@ def sample_momentum_wavefunction(eta: float, grid: GridSpec) -> ScalarField:
                        MOMENTUM_ENERGY)
 
 
+def _square(grid: GridSpec) -> bool:
+    """True when the t axis is the z axis, so both get the same samples."""
+    return (grid.z_min, grid.z_max, grid.n_z) == (grid.t_min, grid.t_max, grid.n_t)
+
+
 def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
     """Direct quadrature of the transform kernel exp(-i (q_z z - q_0 t)).
 
@@ -99,12 +107,15 @@ def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
     qz = momentum_grid.z_axis
     q0 = momentum_grid.t_axis
     kernel_z = np.exp(-1j * np.outer(z, qz)) * wz[:, None]
-    kernel_t = np.exp(1j * np.outer(q0, t)) * wt
+    if _square(field.grid) and _square(momentum_grid):
+        kernel_t = kernel_z.conj()  # t = z and q_0 = q_z
+    else:
+        kernel_t = np.exp(1j * np.outer(t, q0)) * wt[:, None]
     if np.iscomplexobj(field.values):
         half = field.values.T @ kernel_z
     else:  # one real product: kernel_z's real and imaginary parts are adjacent columns
         half = (field.values.T @ kernel_z.view(float)).view(complex)
-    values = (half.T @ kernel_t.T) / (2.0 * math.pi)
+    values = (half.T @ kernel_t) / (2.0 * math.pi)
     tail_ok = field.tail_ok
     if field.state is not None:
         tail_ok = tail_ok and field.grid.covers_tails(field.state.eta)

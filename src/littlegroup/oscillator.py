@@ -16,7 +16,13 @@ One kernel, _psi, evaluates every wave function at light-cone (u, v): it
 forms the rest-frame x = (e^-eta u + e^eta v)/sqrt2, y = (e^-eta u -
 e^eta v)/sqrt2 and runs the Hermite recurrence with the Gaussian folded in
 (Bunck, BIT 49 (2009) 281), so nothing overflows.  Grids are filled in row
-blocks of BLOCK_POINTS points from their broadcast axes, with no meshgrid.
+blocks of about BLOCK_POINTS points from their broadcast axes, with no
+meshgrid, and only on the band the squeeze leaves non-zero: for eta >= 0
+the exponent -(x^2 + y^2)/2 is at most -(e^eta v/sqrt2)^2, which alone
+passes _LOG_FLUSH once |z - t| > 2 sqrt(-_LOG_FLUSH) e^-eta (|z + t| for
+eta < 0).  A grid starts as zeros and each block evaluates only the
+columns within that reach of the diagonal, so every skipped sample is one
+the kernel would flush to 0 and the array equals a full evaluation.
 The trapezoidal rule's default window, half-width 6 exp(|eta|), covers the
 tails, but its 512 points leave v unresolved from |eta| ~ 1.8 on, and
 tail_ok checks only the window: normalization(OscillatorState(0, 4))
@@ -216,8 +222,9 @@ def _psi(n: int, eta: float, u, v, out: np.ndarray | None = None) -> np.ndarray:
     a = np.multiply(u, math.exp(-eta) / SQRT2, out=np.empty(shape))
     b = np.multiply(v, math.exp(eta) / SQRT2, out=np.empty(shape))
     x = a + b if n else None
-    np.negative(np.square(a, out=a), out=a)
-    a -= np.square(b, out=b)
+    with np.errstate(over="ignore"):  # a square past 1e308 is inf: its Gaussian is 0
+        np.negative(np.square(a, out=a), out=a)
+        a -= np.square(b, out=b)
     np.copyto(a, -np.inf, where=a < _LOG_FLUSH)
     m = np.exp(a, out=a)
     if n:
@@ -243,8 +250,8 @@ def boosted_wavefunction(state: OscillatorState, z, t) -> np.ndarray | float:
     which is the rest-frame wave function composed with the inverse
     light-cone squeeze.  Accepts scalars or broadcastable arrays.
     """
-    z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
-    out = _psi(state.n, state.eta, (z + t) / SQRT2, (z - t) / SQRT2)
+    p = lightcone(np.asarray(z, dtype=float), np.asarray(t, dtype=float))
+    out = _psi(state.n, state.eta, p.u, p.v)
     return out if out.ndim else float(out)
 
 
@@ -259,13 +266,45 @@ def _row_blocks(grid: GridSpec) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, grid.n_z, rows)]
 
 
+def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice, slice]]:
+    """Row blocks of the grid, whose z axis is z, each with the columns that
+    can hold a non-zero sample.
+
+    The narrow light-cone coordinate alone flushes the Gaussian once its
+    square passes -_LOG_FLUSH, that is once |z - sign(eta) t| exceeds
+    reach = 2 sqrt(-_LOG_FLUSH) e^-|eta|.  A block keeps the columns within
+    reach of the diagonal t = sign(eta) z over its rows, plus two on each
+    side against rounding; its row count keeps that rectangle near
+    BLOCK_POINTS, and is BLOCK_POINTS // n_t when the band spans the row.
+    """
+    reach = 2.0 * math.sqrt(-_LOG_FLUSH) * math.exp(-abs(eta))
+    width = 2.0 * reach / grid.dt + 5.0  # columns of one row's band
+    drift = grid.dz / grid.dt  # columns the band moves per row
+    # the largest rows with rows * (width + rows * drift) <= BLOCK_POINTS
+    rows = (math.sqrt(width**2 + 4.0 * drift * BLOCK_POINTS) - width) / (2.0 * drift)
+    rows = max(int(rows), BLOCK_POINTS // grid.n_t, 1)
+
+    def column(x: float) -> int:  # the t column at or below x, kept near the window
+        return math.floor(max(-1.0, min(grid.n_t, (x - grid.t_min) / grid.dt)))
+
+    blocks = []
+    for i in range(0, grid.n_z, rows):
+        first, last = float(z[i]), float(z[min(i + rows, grid.n_z) - 1])
+        if eta < 0:  # the band follows t = -z
+            first, last = -last, -first
+        cols = slice(max(column(first - reach) - 2, 0), column(last + reach) + 3)
+        blocks.append((slice(i, i + rows), cols))
+    return blocks
+
+
 def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
-    """psi_n on the grid, filled block by block from the 1-D axes."""
-    values = np.empty((grid.n_z, grid.n_t))
+    """psi_n on the grid, evaluated block by block on the band of _band_blocks;
+    every sample outside it is one _psi would flush to 0."""
+    values = np.zeros((grid.n_z, grid.n_t))
     z, t = grid.z_axis, grid.t_axis
-    for rows in _row_blocks(grid):
-        _psi(n, eta, (z[rows, None] + t) / SQRT2, (z[rows, None] - t) / SQRT2,
-             out=values[rows])
+    for rows, cols in _band_blocks(eta, grid, z):
+        p = lightcone(z[rows, None], t[cols])
+        _psi(n, eta, p.u, p.v, out=values[rows, cols])
     return values
 
 
@@ -310,18 +349,19 @@ def lightcone_widths(field_: ScalarField) -> tuple[float, float]:
     """Standard deviations along the light-cone diagonals under |values|^2.
 
     Applies equally to both representations: momentum-energy fields use
-    the same diagonal map with (q_z, q_0) in place of (z, t).  (z +- t)^2 is
-    not expanded: the expanded moments cancel at large eta.
+    the same diagonal map with (q_z, q_0) in place of (z, t).  u^2 and v^2
+    are not expanded in z and t: the expanded moments cancel at large eta.
     """
     z, t = field_.grid.z_axis, field_.grid.t_axis
     wz, wt = field_.grid.trapezoid_weights()
-    moments = np.zeros(3)  # mass, then those of 2 u^2 and 2 v^2
+    moments = np.zeros(3)  # mass, then those of u^2 and v^2
     for rows in _row_blocks(field_.grid):
         power = np.abs(field_.values[rows]) ** 2
-        for k, factor in enumerate((1.0, (z[rows, None] + t) ** 2, (z[rows, None] - t) ** 2)):
-            moments[k] += wz[rows] @ (factor * power) @ wt
+        p = lightcone(z[rows, None], t)
+        for k, x in enumerate((1.0, p.u, p.v)):
+            moments[k] += wz[rows] @ (x * x * power) @ wt
     mass, sum_u, sum_v = moments
-    return math.sqrt(sum_u / (2.0 * mass)), math.sqrt(sum_v / (2.0 * mass))
+    return math.sqrt(sum_u / mass), math.sqrt(sum_v / mass)
 
 
 def eigenvalue_check(n: int, grid: GridSpec) -> float:

@@ -297,6 +297,14 @@ def test_refusal_has_no_traceback_in_a_fresh_process():
     assert "Traceback" not in proc.stderr and proc.stderr.count("\n") == 1
 
 
+def test_squeeze_plot_at_the_largest_rapidity_writes_no_warning():
+    proc = subprocess.run(
+        [sys.executable, "-m", "littlegroup", "squeeze-plot", "--eta", "350"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_largest_accepted_rapidity_still_runs(tmp_path):
     code, text = run_to_file(tmp_path, "c.csv", ["contract", "--eta-max", "350"])
     assert code == 0

@@ -45,6 +45,33 @@ def test_blocked_sample_equals_pointwise(n, eta, n_z, n_t):
     assert np.abs(blocked - pointwise).max() <= 1e-13 * np.abs(pointwise).max()
 
 
+def full_axes_reference(n, eta, grid):
+    """_psi on the whole broadcast axes at once: no row blocks, no band."""
+    z, t = grid.z_axis[:, None], grid.t_axis
+    return osc._psi(n, eta, (z + t) / SQRT2, (z - t) / SQRT2)
+
+
+window = st.tuples(st.floats(-2.0, 1.5), st.floats(0.05, 2.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, osc.MAX_EXCITATION), st.floats(-12.0, 12.0),
+       window, window, st.integers(16, 600), st.integers(16, 600))
+@example(30, 12.0, (-1.0, 2.0), (-1.0, 2.0), 301, 517)   # band far narrower than a column
+@example(3, 0.0, (-1.0, 2.0), (-0.5, 1.0), 64, 48)       # band wider than the window
+@example(4, 2.5, (-1.0, 2.0), (-1.0, 2.0), 601, 601)     # rows per block do not divide n_z
+@example(2, -3.0, (-1.4, 1.9), (-0.3, 1.1), 211, 97)     # the anti-diagonal band
+@example(1, 3.0, (0.5, 0.4), (-1.5, 0.4), 40, 40)        # the band misses the window
+def test_banded_sample_equals_full_axes(n, eta, z_window, t_window, n_z, n_t):
+    half = osc.TAIL_HALF_WIDTH_FACTOR * math.exp(abs(eta))
+    (z_lo, z_len), (t_lo, t_len) = z_window, t_window
+    grid = osc.GridSpec(half * z_lo, half * (z_lo + z_len),
+                        half * t_lo, half * (t_lo + t_len), n_z, n_t)
+    with np.errstate(over="ignore"):  # squares past 1e308 in the reference
+        want = full_axes_reference(n, eta, grid)
+    assert np.array_equal(osc._sample_grid(n, eta, grid), want)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 20, 29, 30])
 @pytest.mark.parametrize("eta", [0.0, 0.7, -1.3])
 def test_kernel_against_scipy_hermite(n, eta):
@@ -120,6 +147,46 @@ def test_real_field_transform_matches_complex_path():
     assert np.abs(real - complex_).max() <= 1e-13
 
 
+def two_kernel_transform(field, momentum_grid):
+    """fourier_numeric's quadrature with the t kernel from its own exp."""
+    z, t = field.grid.z_axis, field.grid.t_axis
+    wz, wt = field.grid.trapezoid_weights()
+    qz, q0 = momentum_grid.z_axis, momentum_grid.t_axis
+    kernel_z = np.exp(-1j * np.outer(z, qz)) * wz[:, None]
+    kernel_t = np.exp(1j * np.outer(q0, t)) * wt
+    if np.iscomplexobj(field.values):
+        half = field.values.T @ kernel_z
+    else:
+        half = (field.values.T @ kernel_z.view(float)).view(complex)
+    return (half.T @ kernel_t.T) / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n, eta", [(0, 0.0), (3, 2.3), (1, 8.0)])
+def test_square_window_transform_equals_two_kernel_formula(n, eta):
+    field = osc.sample_wavefunction(osc.OscillatorState(n, eta),
+                                    osc.GridSpec.for_rapidity(eta, 200))
+    as_complex = osc.ScalarField(field.grid, field.values.astype(complex),
+                                 field.state, osc.SPACE_TIME)
+    momentum_grid = osc.GridSpec.for_rapidity(eta, 65)
+    for f in (field, as_complex):
+        assert np.array_equal(ms.fourier_numeric(f, momentum_grid).values,
+                              two_kernel_transform(f, momentum_grid))
+
+
+@pytest.mark.parametrize("space, momentum", [
+    ((-7.0, 8.0, -9.0, 7.5, 301, 340), (-4.0, 5.0, -3.5, 4.5, 40, 52)),
+    ((-8.0, 8.0, -8.0, 8.0, 301, 340), (-4.0, 4.0, -4.0, 4.0, 40, 52)),
+])
+def test_non_square_window_transform_matches_closed_form(space, momentum):
+    eta = 0.4
+    field = osc.sample_wavefunction(osc.OscillatorState(0, eta), osc.GridSpec(*space))
+    momentum_grid = osc.GridSpec(*momentum)
+    mom = ms.fourier_numeric(field, momentum_grid)
+    analytic = ms.sample_momentum_wavefunction(eta, momentum_grid)
+    central = ms.central_region_mask(momentum_grid, eta)
+    assert np.abs(np.abs(mom.values) - analytic.values)[central].max() <= 1e-6
+
+
 def test_central_mask_equals_meshgrid_mask():
     grid = osc.GridSpec(-9.0, 7.0, -5.0, 12.0, 40, 33)
     qz, q0 = grid.meshgrid()
@@ -147,3 +214,16 @@ def test_large_grid_sample_and_transform_memory():
         tracemalloc.stop()
     assert sample_peak <= 1.1 * output + MIB
     assert transform_peak - held <= 16 * MIB
+
+
+@pytest.mark.parametrize("eta", [2.5, 4.0])
+def test_banded_sample_memory(eta):
+    # the band is sliced from the 1-D axes: no grid-sized index or gather array
+    grid = osc.GridSpec.for_rapidity(eta, 2048)
+    tracemalloc.start()
+    try:
+        osc.sample_wavefunction(osc.OscillatorState(4, eta), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * grid.n_z * grid.n_t * 8 + MIB
