@@ -94,6 +94,22 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _report(args, params: dict, results, residuals: dict) -> None:
+    """Write one record, or a list of records sharing their keys, as JSON or CSV."""
+    if args.format == "json":
+        text = _json_text({"subcommand": args.subcommand, **params}, results, residuals)
+    else:
+        records = [results] if isinstance(results, dict) else results
+        header = list(records[0])
+        text = _csv_text(header, [[record[k] for k in header] for record in records])
+    _emit(text, args.output)
+
+
+def _check_rapidity(eta: float, what: str) -> None:
+    if not abs(eta) <= MAX_ETA:
+        raise ValueError(f"{what} needs |eta| <= {MAX_ETA:g}")
+
+
 # ---------------------------------------------------------------------------
 # algebra-check
 # ---------------------------------------------------------------------------
@@ -137,21 +153,11 @@ def cmd_algebra_check(args) -> int:
     checks += [(name, residual, COMMUTATOR_TOL)
                for name, residual in la.planar_commutation_check()]
     checks += _invariance_rows()
-    rows = [[name, residual, tol, residual <= tol]
-            for name, residual, tol in checks]
-    all_pass = all(row[3] for row in rows)
-    if args.format == "json":
-        results = [{"relation": n, "max_residual": r, "tolerance": t,
-                    "passed": p} for n, r, t, p in rows]
-        text = _json_text(
-            {"subcommand": "algebra-check", "corrupt": bool(args.corrupt)},
-            results,
-            {"max_relation_residual": max(r[1] for r in rows)})
-    else:
-        text = _csv_text(["relation", "max_residual", "tolerance", "passed"],
-                         rows)
-    _emit(text, args.output)
-    return 0 if all_pass else 1
+    results = [{"relation": name, "max_residual": residual, "tolerance": tol,
+                "passed": residual <= tol} for name, residual, tol in checks]
+    _report(args, {"corrupt": bool(args.corrupt)}, results,
+            {"max_relation_residual": max(r["max_residual"] for r in results)})
+    return 0 if all(r["passed"] for r in results) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -162,24 +168,14 @@ def cmd_contract(args) -> int:
     if not 0 < args.eta_max <= MAX_ETA or args.steps < 1:
         raise ValueError(f"contract needs 0 < eta-max <= {MAX_ETA:g} and steps >= 1")
     etas = [args.eta_max * k / args.steps for k in range(args.steps + 1)]
-    rows = []
-    for eta in etas:
-        residual = la.contraction_residual(eta, args.source)
-        rows.append([eta, residual, residual * math.exp(2.0 * eta)])
-    scaled_tail = [r[2] for r in rows if r[0] >= 4.0]
+    residuals = [la.contraction_residual(eta, args.source) for eta in etas]
+    results = [{"eta": eta, "residual": r, "residual_scaled": r * math.exp(2.0 * eta)}
+               for eta, r in zip(etas, residuals)]
+    scaled_tail = [r["residual_scaled"] for r in results if r["eta"] >= 4.0]
     spread = (max(scaled_tail) - min(scaled_tail)) if scaled_tail else 0.0
-    if args.format == "json":
-        results = [{"eta": e, "residual": r, "residual_scaled": s}
-                   for e, r, s in rows]
-        text = _json_text(
-            {"subcommand": "contract", "eta_max": args.eta_max,
-             "steps": args.steps, "source": args.source,
-             "limit_coefficient": la.CONTRACTION_LIMIT_COEFFICIENT},
-            results,
-            {"scaled_column_spread_eta_ge_4": spread})
-    else:
-        text = _csv_text(["eta", "residual", "residual_scaled"], rows)
-    _emit(text, args.output)
+    _report(args, {"eta_max": args.eta_max, "steps": args.steps, "source": args.source,
+                   "limit_coefficient": la.CONTRACTION_LIMIT_COEFFICIENT},
+            results, {"scaled_column_spread_eta_ge_4": spread})
     return 0
 
 
@@ -206,8 +202,7 @@ def _parse_grid(spec: str) -> tuple[tuple[float, float, int], ...]:
 
 
 def cmd_squeeze_plot(args) -> int:
-    if not abs(args.eta) <= MAX_ETA:
-        raise ValueError(f"squeeze-plot needs |eta| <= {MAX_ETA:g}")
+    _check_rapidity(args.eta, "squeeze-plot")
     state = osc.OscillatorState(args.n, args.eta)
     if args.grid is None:
         space_grid = osc.GridSpec.for_rapidity(args.eta, 65)
@@ -271,8 +266,7 @@ def cmd_squeeze_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fourier_check(args) -> int:
-    if not abs(args.eta) <= MAX_ETA:
-        raise ValueError(f"fourier-check needs |eta| <= {MAX_ETA:g}")
+    _check_rapidity(args.eta, "fourier-check")
     state = osc.OscillatorState(0, args.eta)
     space_grid = osc.GridSpec.for_rapidity(args.eta, 512)
     momentum_grid = osc.GridSpec.for_rapidity(args.eta, 257)
@@ -295,18 +289,9 @@ def cmd_fourier_check(args) -> int:
         "parseval_tolerance": PARSEVAL_TOL,
         "passed": passed,
     }
-    if args.format == "json":
-        text = _json_text(
-            {"subcommand": "fourier-check", "eta": args.eta,
-             "space_points": space_grid.n_z,
-             "momentum_points": momentum_grid.n_z},
-            results,
-            {"max_abs_error_central": max_err,
-             "parseval_abs_diff": parseval_diff})
-    else:
-        header = list(results.keys())
-        text = _csv_text(header, [[results[k] for k in header]])
-    _emit(text, args.output)
+    _report(args, {"eta": args.eta, "space_points": space_grid.n_z,
+                   "momentum_points": momentum_grid.n_z}, results,
+            {"max_abs_error_central": max_err, "parseval_abs_diff": parseval_diff})
     return 0 if passed else 1
 
 
@@ -317,6 +302,7 @@ def cmd_fourier_check(args) -> int:
 def cmd_coherence(args) -> int:
     beam = parton.BeamSpec(args.energy, args.mass)
     eta = parton.rapidity_from_beam(beam)
+    _check_rapidity(eta, "coherence (eta = arccosh(energy / mass))")
     record = {
         "eta": eta,
         "period_dilation": parton.period_dilation(eta),
@@ -324,15 +310,7 @@ def cmd_coherence(args) -> int:
         "coherence_ratio": parton.coherence_ratio(eta),
         "marginal_variance": osc.marginal_variance(eta),
     }
-    if args.format == "json":
-        text = _json_text(
-            {"subcommand": "coherence", "energy_gev": args.energy,
-             "mass_gev": args.mass},
-            record, {})
-    else:
-        header = list(record.keys())
-        text = _csv_text(header, [[record[k] for k in header]])
-    _emit(text, args.output)
+    _report(args, {"energy_gev": args.energy, "mass_gev": args.mass}, record, {})
     return 0
 
 

@@ -319,34 +319,32 @@ def structure_constants(basis: list[np.ndarray]) -> np.ndarray:
     return projections / np.einsum("kab,kab->k", b.conj(), b)
 
 
-def _max_abs(m: np.ndarray) -> float:
-    return float(np.abs(m).max())
-
-
-def _relation_rows(gens: Mapping[str, np.ndarray]) -> list[tuple[str, float]]:
+def _lorentz_rows() -> list[tuple]:
+    """[A_i B_j] = i sign eps_ijk C_k (0 when i = j), then the little group {J3, N1, N2}."""
     cyclic = ((1, 2), (2, 3), (3, 1))
     every = tuple((i, j) for i in (1, 2, 3) for j in (1, 2, 3))
-    rows: list[tuple[str, float]] = []
-    # [A_i B_j] = i sign eps_ijk C_k
+    rows = []
     for a, b, c, sign, pairs in (("J", "J", "J", 1, cyclic), ("J", "K", "K", 1, every),
                                  ("K", "K", "J", -1, cyclic)):
         for i, j in pairs:
-            bracket = commutator(gens[f"{a}{i}"], gens[f"{b}{j}"])
-            if i == j:
-                rows.append((f"[{a}{i} {b}{j}] = 0", _max_abs(bracket)))
-                continue
-            k = 6 - i - j
-            s = sign * _levi_civita(i, j, k)
-            rows.append((f"[{a}{i} {b}{j}] = {'i' if s > 0 else '-i'}{c}{k}",
-                         _max_abs(bracket - 1j * s * gens[f"{c}{k}"])))
-    rows.append(("N1 = K1 - J2", _max_abs(gens["N1"] - (gens["K1"] - gens["J2"]))))
-    rows.append(("N2 = K2 + J1", _max_abs(gens["N2"] - (gens["K2"] + gens["J1"]))))
-    rows.append(("[N1 N2] = 0", _max_abs(commutator(gens["N1"], gens["N2"]))))
-    rows.append(("[J3 N1] = iN2",
-                 _max_abs(commutator(gens["J3"], gens["N1"]) - 1j * gens["N2"])))
-    rows.append(("[J3 N2] = -iN1",
-                 _max_abs(commutator(gens["J3"], gens["N2"]) + 1j * gens["N1"])))
-    return rows
+            k = 6 - i - j if i != j else i
+            rows.append((f"{a}{i}", f"{b}{j}", 1j * sign * _levi_civita(i, j, k), f"{c}{k}"))
+    return rows + [("N1", "N2", 0, "N1"), ("J3", "N1", 1j, "N2"), ("J3", "N2", -1j, "N1")]
+
+
+#: rows (A, B, c, C), each meaning [A B] = c C
+_LORENTZ_BRACKETS = _lorentz_rows()
+_PLANAR_BRACKETS = (("Px", "Py", 0, "Px"), ("L", "Px", 1j, "Py"), ("L", "Py", -1j, "Px"))
+_EPSILON_ROWS = 15   # the J/K rows, which precede the definitions of N1 and N2
+
+
+def _bracket_residuals(rows, mats: Mapping[str, np.ndarray]) -> list[tuple[str, float]]:
+    """Name and max entrywise residual of each bracket row, in one stacked pass."""
+    a, b, c, g = zip(*rows)
+    ma, mb, mg = np.array([[mats[label] for label in column] for column in (a, b, g)])
+    residuals = np.abs(ma @ mb - mb @ ma - np.array(c)[:, None, None] * mg).max(axis=(1, 2))
+    return [(f"[{x} {y}] = " + (f"{'i' if z.imag > 0 else '-i'}{w}" if z else "0"), r)
+            for (x, y, z, w), r in zip(rows, residuals.tolist())]
 
 
 def relation_residuals(gens: Mapping[str, np.ndarray] | None = None
@@ -356,7 +354,12 @@ def relation_residuals(gens: Mapping[str, np.ndarray] | None = None
     An alternative generator mapping can be supplied to run the suite
     against perturbed matrices (negative-control self test).
     """
-    return _relation_rows(GENERATOR_MATRICES if gens is None else gens)
+    gens = GENERATOR_MATRICES if gens is None else gens
+    rows = _bracket_residuals(_LORENTZ_BRACKETS, gens)
+    defined = [("N1 = K1 - J2", gens["N1"] - (gens["K1"] - gens["J2"])),
+               ("N2 = K2 + J1", gens["N2"] - (gens["K2"] + gens["J1"]))]
+    return (rows[:_EPSILON_ROWS] + [(name, float(np.abs(d).max())) for name, d in defined]
+            + rows[_EPSILON_ROWS:])
 
 
 def planar_commutation_check() -> list[tuple[str, float]]:
@@ -366,14 +369,8 @@ def planar_commutation_check() -> list[tuple[str, float]]:
     those of {L, Px, Py}; a zero residual is the statement that the
     massless little group is E(2)-like.
     """
-    ell, px, py = (PLANAR_MATRICES[k] for k in PLANAR_LABELS)
-    rows = [
-        ("[Px Py] = 0", _max_abs(commutator(px, py))),
-        ("[L Px] = iPy", _max_abs(commutator(ell, px) - 1j * py)),
-        ("[L Py] = -iPx", _max_abs(commutator(ell, py) + 1j * px)),
-    ]
     little = [GENERATOR_MATRICES[k] for k in ("J3", "N1", "N2")]
-    mismatch = np.abs(structure_constants(little)
-                      - structure_constants([ell, px, py])).max()
-    rows.append(("structure constants {J3 N1 N2} = {L Px Py}", float(mismatch)))
-    return rows
+    planar = [PLANAR_MATRICES[k] for k in PLANAR_LABELS]
+    mismatch = np.abs(structure_constants(little) - structure_constants(planar)).max()
+    return _bracket_residuals(_PLANAR_BRACKETS, PLANAR_MATRICES) + [
+        ("structure constants {J3 N1 N2} = {L Px Py}", float(mismatch))]

@@ -376,17 +376,21 @@ def eigenvalue_check(n: int, grid: GridSpec) -> float:
     """
     if grid.dz > 0.05 or grid.dt > 0.05:
         raise ValueError("eigenvalue check needs grid spacing <= 0.05")
-    f = sample_wavefunction(OscillatorState(n, 0.0), grid)
-    psi = f.values
-    core = psi[1:-1, 1:-1]
-    d2z = (psi[2:, 1:-1] - 2.0 * core + psi[:-2, 1:-1]) / grid.dz**2
-    d2t = (psi[1:-1, 2:] - 2.0 * core + psi[1:-1, :-2]) / grid.dt**2
-    form = grid.z_axis[1:-1, None] ** 2 - grid.t_axis[1:-1] ** 2
-    operator = 0.5 * (form * core - (d2z - d2t))
-    mask = np.abs(core) > 1e-3
-    if int(mask.sum()) < 100:
+    psi = sample_wavefunction(OscillatorState(n, 0.0), grid).values
+    zz, tt = grid.z_axis ** 2, grid.t_axis[1:-1] ** 2
+    ratios = []
+    for block in _row_blocks(grid):   # interior rows, a block of them at a time
+        r, s = max(block.start, 1), min(block.stop, grid.n_z - 1)
+        core = psi[r:s, 1:-1]
+        d2z = (psi[r + 1:s + 1, 1:-1] - 2.0 * core + psi[r - 1:s - 1, 1:-1]) / grid.dz**2
+        d2t = (psi[r:s, 2:] - 2.0 * core + psi[r:s, :-2]) / grid.dt**2
+        operator = 0.5 * ((zz[r:s, None] - tt) * core - (d2z - d2t))
+        mask = np.abs(core) > 1e-3
+        ratios.append(operator[mask] / core[mask])
+    ratios = np.concatenate(ratios)
+    if ratios.size < 100:
         raise ValueError("too few points with |psi| > 1e-3 for a stable ratio")
-    return float(np.median(operator[mask] / core[mask]))
+    return float(np.median(ratios, overwrite_input=True))
 
 
 def marginal_variance(eta: float) -> float:

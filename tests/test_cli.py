@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from littlegroup.cli import main
 
@@ -279,6 +281,8 @@ def test_stdout_default(capsys):
     ["squeeze-plot", "--eta", "800"],
     ["fourier-check", "--eta", "800"],
     ["fourier-check", "--eta=-inf"],
+    ["coherence", "--energy", "1e200"],                    # eta 461: cosh(2 eta) overflows
+    ["coherence", "--energy", "1e308", "--mass", "1e-10"],  # E / m overflows to inf
 ])
 def test_out_of_range_argument_is_refused(capsys, argv):
     code = main(argv)
@@ -310,3 +314,63 @@ def test_largest_accepted_rapidity_still_runs(tmp_path):
     assert code == 0
     assert all(math.isfinite(float(x)) for row in text.split("\n")[1:-1]
                for x in row.split(","))
+
+
+# ---------------------------------------------------------------------------
+# any argv: exit 0 with finite numbers, or exit 2 with one line on stderr
+# ---------------------------------------------------------------------------
+
+def numbers_in(text, fmt):
+    if fmt == "csv":
+        return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+    found = []
+
+    def walk(x):
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, list):
+            for item in x:
+                walk(item)
+        elif isinstance(x, (int, float)):
+            found.append(float(x))
+
+    walk(json.loads(text))
+    return found
+
+
+def assert_clean_outcome(capsys, argv, fmt):
+    capsys.readouterr()
+    code = main(argv + ["--format", fmt])
+    out, err = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 0:
+        assert all(math.isfinite(x) for x in numbers_in(out, fmt))
+    else:
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+formats = st.sampled_from(("csv", "json"))
+non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
+log_uniform = st.floats(-3.0, 308.0).map(lambda e: 10.0**e)
+fixture_ok = settings(deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@fixture_ok
+@given(st.one_of(st.floats(), non_finite), st.integers(1, 50),
+       st.sampled_from(("J2", "J1")), formats)
+@example(1e3, 10, "J2", "csv")
+@example(350.0, 50, "J1", "json")
+def test_contract_argv_property(capsys, eta_max, steps, source, fmt):
+    argv = ["contract", f"--eta-max={eta_max!r}", "--steps", str(steps), "--source", source]
+    assert_clean_outcome(capsys, argv, fmt)
+
+
+@fixture_ok
+@given(st.one_of(log_uniform, non_finite), st.one_of(log_uniform, non_finite), formats)
+@example(1e200, 0.938, "csv")
+@example(1e308, 1e-10, "json")
+def test_coherence_argv_property(capsys, energy, mass, fmt):
+    argv = ["coherence", f"--energy={energy!r}", f"--mass={mass!r}"]
+    assert_clean_outcome(capsys, argv, fmt)

@@ -108,6 +108,102 @@ def test_relation_suite_catches_perturbation():
     assert max(residuals) > 1e-12
 
 
+#: every relation of the suite, in its order, as (name, A, B, c, C): [A B] = c C,
+#: or for the two definitions A = B + c C.  Written out rather than derived.
+LORENTZ_RELATIONS = [
+    ("[J1 J2] = iJ3", "J1", "J2", 1j, "J3"),
+    ("[J2 J3] = iJ1", "J2", "J3", 1j, "J1"),
+    ("[J3 J1] = iJ2", "J3", "J1", 1j, "J2"),
+    ("[J1 K1] = 0", "J1", "K1", 0, None),
+    ("[J1 K2] = iK3", "J1", "K2", 1j, "K3"),
+    ("[J1 K3] = -iK2", "J1", "K3", -1j, "K2"),
+    ("[J2 K1] = -iK3", "J2", "K1", -1j, "K3"),
+    ("[J2 K2] = 0", "J2", "K2", 0, None),
+    ("[J2 K3] = iK1", "J2", "K3", 1j, "K1"),
+    ("[J3 K1] = iK2", "J3", "K1", 1j, "K2"),
+    ("[J3 K2] = -iK1", "J3", "K2", -1j, "K1"),
+    ("[J3 K3] = 0", "J3", "K3", 0, None),
+    ("[K1 K2] = -iJ3", "K1", "K2", -1j, "J3"),
+    ("[K2 K3] = -iJ1", "K2", "K3", -1j, "J1"),
+    ("[K3 K1] = -iJ2", "K3", "K1", -1j, "J2"),
+    ("N1 = K1 - J2", "N1", "K1", -1, "J2"),
+    ("N2 = K2 + J1", "N2", "K2", 1, "J1"),
+    ("[N1 N2] = 0", "N1", "N2", 0, None),
+    ("[J3 N1] = iN2", "J3", "N1", 1j, "N2"),
+    ("[J3 N2] = -iN1", "J3", "N2", -1j, "N1"),
+]
+PLANAR_RELATIONS = [
+    ("[Px Py] = 0", "Px", "Py", 0, None),
+    ("[L Px] = iPy", "L", "Px", 1j, "Py"),
+    ("[L Py] = -iPx", "L", "Py", -1j, "Px"),
+]
+
+
+def reference_residuals(relations, mats):
+    """Each row's residual from commutator and its expected matrix, one at a time."""
+    rows = []
+    for name, a, b, c, g in relations:
+        expected = 0.0 if g is None else c * mats[g]
+        if name.startswith("["):
+            diff = la.commutator(mats[a], mats[b]) - expected
+        else:
+            diff = mats[a] - (mats[b] + expected)
+        rows.append((name, float(np.abs(diff).max())))
+    return rows
+
+
+def assert_rows_match(got, want, tol):
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, r), (_, w) in zip(got, want):
+        assert abs(r - w) <= tol, name
+
+
+def corrupted_generators():
+    mats = {k: np.array(v) for k, v in la.GENERATOR_MATRICES.items()}
+    mats["J1"] = mats["J1"] + 1e-3
+    return mats
+
+
+def test_relation_table_matches_reference_exactly():
+    for mats in (la.GENERATOR_MATRICES, corrupted_generators()):
+        assert la.relation_residuals(mats) == reference_residuals(LORENTZ_RELATIONS, mats)
+    assert la.relation_residuals() == reference_residuals(LORENTZ_RELATIONS,
+                                                          la.GENERATOR_MATRICES)
+    assert (la.planar_commutation_check()[:3]
+            == reference_residuals(PLANAR_RELATIONS, la.PLANAR_MATRICES))
+
+
+def perturbations(labels):
+    """Real or imaginary 4x4 (or 3x3) offsets on one or more of the labels."""
+    offset = st.tuples(st.sampled_from((1.0, 1j)),
+                       st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16))
+    return st.dictionaries(st.sampled_from(labels), offset, min_size=1)
+
+
+def perturbed(mats, offsets):
+    out = dict(mats)
+    for label, (unit, entries) in offsets.items():
+        size = out[label].shape[0]
+        out[label] = out[label] + unit * np.reshape(entries[:size * size], (size, size))
+    return out
+
+
+@given(perturbations(ALL_LABELS))
+def test_relation_table_matches_reference_on_perturbed_generators(offsets):
+    mats = perturbed(la.GENERATOR_MATRICES, offsets)
+    assert_rows_match(la.relation_residuals(mats),
+                      reference_residuals(LORENTZ_RELATIONS, mats), 1e-15)
+
+
+@given(perturbations(la.PLANAR_LABELS))
+def test_planar_table_matches_reference_on_perturbed_generators(offsets):
+    mats = perturbed(la.PLANAR_MATRICES, offsets)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(la, "PLANAR_MATRICES", mats)
+        got = la.planar_commutation_check()
+    assert_rows_match(got[:3], reference_residuals(PLANAR_RELATIONS, mats), 1e-15)
+
+
 # ---------------------------------------------------------------------------
 # group elements
 # ---------------------------------------------------------------------------

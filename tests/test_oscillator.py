@@ -1,6 +1,7 @@
 """Wave functions, light-cone kinematics, quadrature, and the equation check."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,6 +278,40 @@ def test_eigenvalue_second_order_convergence(n):
 def test_eigenvalue_spacing_guard():
     with pytest.raises(ValueError):
         osc.eigenvalue_check(0, osc.GridSpec(-6, 6, -6, 6, 64, 64))
+
+
+def full_grid_eigenvalue(n, grid):
+    """The ratio from stencils over the whole interior, masked afterwards."""
+    psi = osc.sample_wavefunction(osc.OscillatorState(n, 0.0), grid).values
+    core = psi[1:-1, 1:-1]
+    d2z = (psi[2:, 1:-1] - 2.0 * core + psi[:-2, 1:-1]) / grid.dz**2
+    d2t = (psi[1:-1, 2:] - 2.0 * core + psi[1:-1, :-2]) / grid.dt**2
+    form = grid.z_axis[1:-1, None] ** 2 - grid.t_axis[1:-1] ** 2
+    operator = 0.5 * (form * core - (d2z - d2t))
+    mask = np.abs(core) > 1e-3
+    return float(np.median(operator[mask] / core[mask]))
+
+
+@pytest.mark.parametrize("n,grid", [
+    (0, eig_grid(0.02)), (2, eig_grid(0.02)), (5, eig_grid(0.02)), (10, eig_grid(0.02)),
+    (3, osc.GridSpec(-5.0, 4.0, -3.0, 6.0, 301, 250)),       # rectangular, off-centre
+    (4, osc.GridSpec(-1.0, 1.0, -6.0, 6.0, 41, osc.BLOCK_POINTS + 9)),  # a row per block
+])
+def test_eigenvalue_equals_full_grid_stencil(n, grid):
+    assert osc.eigenvalue_check(n, grid) == full_grid_eigenvalue(n, grid)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_eigenvalue_check_memory(n):
+    # the benchmark's grid: 601^2 at h = 0.02, a 2.8 MiB field
+    grid = eig_grid(0.02)
+    tracemalloc.start()
+    try:
+        osc.eigenvalue_check(n, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_eigenvalue_degenerate_window():
