@@ -11,15 +11,19 @@ coherence       boost kinematics and the decoherence ratio for a beam
 Every subcommand takes --format csv|json and --output PATH (default:
 standard output) and is deterministic: identical flags produce
 byte-identical files.  Exit codes: 0 success, 1 check failure, 2 bad
-arguments.  CSV files carry one header row, snake_case columns, and
-numbers with 12 significant digits; JSON output is one object with
-"params", "results", and "residuals" keys.  All physics is in natural
+arguments.  Every subcommand writes through one writer, _report, which
+takes Python scalars, lists and dicts: CSV files carry one header row,
+snake_case columns, and numbers with 12 significant digits; JSON output
+is one object with "params", "results", and "residuals" keys, its
+numbers rounded to the same 12 digits.  squeeze-plot's CSV rows and
+JSON grids therefore hold the same numbers.  All physics is in natural
 units; GeV enters only through the coherence subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -43,66 +47,47 @@ _CHECK_SEED = 20260808
 
 
 def _fmt(x: float) -> str:
-    s = f"{float(x):.12g}"
+    s = f"{x:.12g}"
     return "0" if s == "-0" else s
 
 
-def _round12(x: float) -> float:
-    return float(_fmt(x))
-
-
 def _jsonify(obj):
+    if isinstance(obj, float):
+        return float(_fmt(obj))
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonify(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return _round12(obj)
     return obj
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         return _fmt(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
     return str(v)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_text(params: dict, results, residuals: dict) -> str:
-    doc = {"params": _jsonify(params), "results": _jsonify(results),
-           "residuals": _jsonify(residuals)}
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def _report(args, params: dict, results, residuals: dict) -> None:
-    """Write one record, or a list of records sharing their keys, as JSON or CSV."""
+    """Write one record, or a list of records sharing their keys, as JSON or CSV.
+
+    Every value is a Python scalar, list or dict; arrays arrive as .tolist().
+    """
     if args.format == "json":
-        text = _json_text({"subcommand": args.subcommand, **params}, results, residuals)
+        doc = {"params": {"subcommand": args.subcommand, **params},
+               "results": results, "residuals": residuals}
+        text = json.dumps(_jsonify(doc), indent=2) + "\n"
     else:
         records = [results] if isinstance(results, dict) else results
         header = list(records[0])
-        text = _csv_text(header, [[record[k] for k in header] for record in records])
-    _emit(text, args.output)
+        lines = [",".join(header)]
+        lines += [",".join(_csv_cell(record[k]) for k in header) for record in records]
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _check_rapidity(eta: float, what: str) -> None:
@@ -115,25 +100,25 @@ def _check_rapidity(eta: float, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _invariance_rows() -> list[tuple[str, float, float]]:
-    thetas = np.linspace(-5.0, 5.0, 20)
+    thetas = np.linspace(-5.0, 5.0, 20).tolist()
     scales = (0.5, 1.0, 10.0)
     rows = []
-    rest = [la.FourVector(0.0, 0.0, 0.0, m) for m in scales]
-    lightlike = [la.FourVector(0.0, 0.0, w, w) for w in scales]
-    for kind, labels, momenta in (("rest", ("J1", "J2", "J3"), rest),
-                                  ("lightlike", ("J3", "N1", "N2"), lightlike)):
+    # one column per momentum (x, y, z, t), one stacked matrix per group element
+    rest = np.array([[0.0, 0.0, 0.0, m] for m in scales]).T
+    lightlike = np.array([[0.0, 0.0, w, w] for w in scales]).T
+    for kind, labels, p in (("rest", ("J1", "J2", "J3"), rest),
+                            ("lightlike", ("J3", "N1", "N2"), lightlike)):
         for label in labels:
-            elems = [la.group_element(label, float(theta)) for theta in thetas]
-            worst = max(la.invariance_residual(e, p) for e in elems for p in momenta)
-            rows.append((f"exp(theta {label}) fixes {kind} momentum", worst,
-                         INVARIANCE_TOL))
+            m = np.array([la.group_element(label, theta).matrix for theta in thetas])
+            rows.append((f"exp(theta {label}) fixes {kind} momentum",
+                         float(np.abs(m @ p - p).max()), INVARIANCE_TOL))
     rng = np.random.default_rng(_CHECK_SEED)
     worst_interval = worst_det = 0.0
     for _ in range(100):
         label = la.GENERATOR_LABELS[int(rng.integers(len(la.GENERATOR_LABELS)))]
         elem = la.group_element(label, float(rng.uniform(-2.0, 2.0)))
         worst_det = max(worst_det, abs(float(np.linalg.det(elem.matrix)) - 1.0))
-        p = la.FourVector(*(rng.normal(size=4) * 3.0))
+        p = la.FourVector(*(rng.normal(size=4) * 3.0).tolist())
         before = p.interval()
         worst_interval = max(worst_interval, abs(elem.transform(p).interval() - before)
                              / max(1.0, abs(before)))
@@ -209,9 +194,8 @@ def cmd_squeeze_plot(args) -> int:
     else:
         (zmin, zmax, nz), (tmin, tmax, nt) = args.grid
         space_grid = osc.GridSpec(zmin, zmax, tmin, tmax, nz, nt)
-    half = osc.TAIL_HALF_WIDTH_FACTOR * math.exp(abs(args.eta))
-    momentum_grid = osc.GridSpec(-half, half, -half, half,
-                                 space_grid.n_z, space_grid.n_t)
+    momentum_grid = dataclasses.replace(osc.GridSpec.for_rapidity(args.eta),
+                                        n_z=space_grid.n_z, n_t=space_grid.n_t)
     field = osc.sample_wavefunction(state, space_grid)
     # the transform integrates over its own quadrature grid, sized to
     # resolve the squeezed ridge regardless of the plot resolution
@@ -221,43 +205,22 @@ def cmd_squeeze_plot(args) -> int:
     mom = ms.fourier_numeric(quad_field, momentum_grid)
     semi_u = math.exp(args.eta)
     semi_v = math.exp(-args.eta)
+    z, t = space_grid.z_axis.tolist(), space_grid.t_axis.tolist()
+    q_z, q_0 = momentum_grid.z_axis.tolist(), momentum_grid.t_axis.tolist()
+    psi, abs_phi = field.values.tolist(), np.abs(mom.values).tolist()
     if args.format == "json":
         results = {
-            "space_time": {
-                "z": list(space_grid.z_axis),
-                "t": list(space_grid.t_axis),
-                "values": [list(row) for row in field.values],
-            },
-            "momentum_energy": {
-                "q_z": list(momentum_grid.z_axis),
-                "q_0": list(momentum_grid.t_axis),
-                "abs_values": [list(row) for row in np.abs(mom.values)],
-            },
+            "space_time": {"z": z, "t": t, "values": psi},
+            "momentum_energy": {"q_z": q_z, "q_0": q_0, "abs_values": abs_phi},
             "ellipse_semi_axes": {"u": semi_u, "v": semi_v},
         }
-        text = _json_text(
-            {"subcommand": "squeeze-plot", "n": args.n, "eta": args.eta,
-             "tail_ok": field.tail_ok},
-            results, {})
     else:
-        rows = []
-        zs = space_grid.z_axis
-        ts = space_grid.t_axis
-        for i, z in enumerate(zs):
-            for j, t in enumerate(ts):
-                rows.append(["space_time", z, t, field.values[i, j],
-                             semi_u, semi_v])
-        qzs = momentum_grid.z_axis
-        q0s = momentum_grid.t_axis
-        absmom = np.abs(mom.values)
-        for i, qz in enumerate(qzs):
-            for j, q0 in enumerate(q0s):
-                rows.append(["momentum_energy", qz, q0, absmom[i, j],
-                             semi_u, semi_v])
-        text = _csv_text(
-            ["representation", "x", "y", "value", "u_semi_axis", "v_semi_axis"],
-            rows)
-    _emit(text, args.output)
+        panels = (("space_time", z, t, psi), ("momentum_energy", q_z, q_0, abs_phi))
+        results = [{"representation": name, "x": x, "y": y, "value": value,
+                    "u_semi_axis": semi_u, "v_semi_axis": semi_v}
+                   for name, xs, ys, values in panels
+                   for x, row in zip(xs, values) for y, value in zip(ys, row)]
+    _report(args, {"n": args.n, "eta": args.eta, "tail_ok": field.tail_ok}, results, {})
     return 0
 
 

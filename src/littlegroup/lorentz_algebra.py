@@ -338,13 +338,27 @@ _PLANAR_BRACKETS = (("Px", "Py", 0, "Px"), ("L", "Px", 1j, "Py"), ("L", "Py", -1
 _EPSILON_ROWS = 15   # the J/K rows, which precede the definitions of N1 and N2
 
 
-def _bracket_residuals(rows, mats: Mapping[str, np.ndarray]) -> list[tuple[str, float]]:
-    """Name and max entrywise residual of each bracket row, in one stacked pass."""
+def _stack(rows, mats: Mapping[str, np.ndarray]) -> tuple[np.ndarray, ...]:
+    """A, B and c C of every bracket row, each packed into one (rows, k, k) array."""
     a, b, c, g = zip(*rows)
     ma, mb, mg = np.array([[mats[label] for label in column] for column in (a, b, g)])
-    residuals = np.abs(ma @ mb - mb @ ma - np.array(c)[:, None, None] * mg).max(axis=(1, 2))
+    return ma, mb, np.array(c)[:, None, None] * mg
+
+
+def _bracket_residuals(rows, stack) -> list[tuple[str, float]]:
+    """Name and max entrywise residual of each bracket row, in one stacked pass."""
+    ma, mb, expected = stack
+    residuals = np.abs(ma @ mb - mb @ ma - expected).max(axis=(1, 2))
     return [(f"[{x} {y}] = " + (f"{'i' if z.imag > 0 else '-i'}{w}" if z else "0"), r)
             for (x, y, z, w), r in zip(rows, residuals.tolist())]
+
+
+_LORENTZ_STACK = _stack(_LORENTZ_BRACKETS, GENERATOR_MATRICES)
+#: structure constants of {J3, N1, N2} minus those of {L, Px, Py}, largest entry;
+#: structure_constants is einsum only, so no matrix product runs at import
+_LITTLE_GROUP_MISMATCH = float(np.abs(
+    structure_constants([GENERATOR_MATRICES[k] for k in ("J3", "N1", "N2")])
+    - structure_constants([PLANAR_MATRICES[k] for k in PLANAR_LABELS])).max())
 
 
 def relation_residuals(gens: Mapping[str, np.ndarray] | None = None
@@ -354,8 +368,9 @@ def relation_residuals(gens: Mapping[str, np.ndarray] | None = None
     An alternative generator mapping can be supplied to run the suite
     against perturbed matrices (negative-control self test).
     """
+    stack = _LORENTZ_STACK if gens is None else _stack(_LORENTZ_BRACKETS, gens)
     gens = GENERATOR_MATRICES if gens is None else gens
-    rows = _bracket_residuals(_LORENTZ_BRACKETS, gens)
+    rows = _bracket_residuals(_LORENTZ_BRACKETS, stack)
     defined = [("N1 = K1 - J2", gens["N1"] - (gens["K1"] - gens["J2"])),
                ("N2 = K2 + J1", gens["N2"] - (gens["K2"] + gens["J1"]))]
     return (rows[:_EPSILON_ROWS] + [(name, float(np.abs(d).max())) for name, d in defined]
@@ -366,11 +381,10 @@ def planar_commutation_check() -> list[tuple[str, float]]:
     """Plane-group bracket residuals plus the little-group match.
 
     The final row compares the structure constants of {J3, N1, N2} with
-    those of {L, Px, Py}; a zero residual is the statement that the
-    massless little group is E(2)-like.
+    those of {L, Px, Py}, taken once at import from the canonical
+    matrices; a zero residual is the statement that the massless little
+    group is E(2)-like.
     """
-    little = [GENERATOR_MATRICES[k] for k in ("J3", "N1", "N2")]
-    planar = [PLANAR_MATRICES[k] for k in PLANAR_LABELS]
-    mismatch = np.abs(structure_constants(little) - structure_constants(planar)).max()
-    return _bracket_residuals(_PLANAR_BRACKETS, PLANAR_MATRICES) + [
-        ("structure constants {J3 N1 N2} = {L Px Py}", float(mismatch))]
+    stack = _stack(_PLANAR_BRACKETS, PLANAR_MATRICES)
+    return _bracket_residuals(_PLANAR_BRACKETS, stack) + [
+        ("structure constants {J3 N1 N2} = {L Px Py}", _LITTLE_GROUP_MISMATCH)]

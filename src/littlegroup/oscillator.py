@@ -20,9 +20,10 @@ blocks of about BLOCK_POINTS points from their broadcast axes, with no
 meshgrid, and only on the band the squeeze leaves non-zero: for eta >= 0
 the exponent -(x^2 + y^2)/2 is at most -(e^eta v/sqrt2)^2, which alone
 passes _LOG_FLUSH once |z - t| > 2 sqrt(-_LOG_FLUSH) e^-eta (|z + t| for
-eta < 0).  A grid starts as zeros and each block evaluates only the
-columns within that reach of the diagonal, so every skipped sample is one
-the kernel would flush to 0 and the array equals a full evaluation.
+eta < 0).  Each block evaluates only the columns within that reach of
+the diagonal; a grid starts as zeros unless that band spans every row, so
+every skipped sample is one the kernel would flush to 0 and the array
+equals a full evaluation.
 The trapezoidal rule's default window, half-width 6 exp(|eta|), covers the
 tails, but its 512 points leave v unresolved from |eta| ~ 1.8 on, and
 tail_ok checks only the window: normalization(OscillatorState(0, 4))
@@ -300,9 +301,12 @@ def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice,
 def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
     """psi_n on the grid, evaluated block by block on the band of _band_blocks;
     every sample outside it is one _psi would flush to 0."""
-    values = np.zeros((grid.n_z, grid.n_t))
     z, t = grid.z_axis, grid.t_axis
-    for rows, cols in _band_blocks(eta, grid, z):
+    blocks = _band_blocks(eta, grid, z)
+    # zero-fill only when some block leaves columns of its rows unwritten
+    full = all(cols.start == 0 and cols.stop >= grid.n_t for _, cols in blocks)
+    values = (np.empty if full else np.zeros)((grid.n_z, grid.n_t))
+    for rows, cols in blocks:
         p = lightcone(z[rows, None], t[cols])
         _psi(n, eta, p.u, p.v, out=values[rows, cols])
     return values
@@ -321,7 +325,9 @@ def _integrate(values: np.ndarray, grid: GridSpec) -> float:
 
 def power_integral(field_: ScalarField) -> float:
     """Trapezoidal integral of |values|^2 over the field's window."""
-    return _integrate(np.abs(field_.values) ** 2, field_.grid)
+    with np.errstate(over="ignore"):  # a |value| past 1e154 squares to inf: so is the sum
+        power = np.abs(field_.values) ** 2
+    return _integrate(power, field_.grid)
 
 
 def normalization(state: OscillatorState, grid: GridSpec | None = None

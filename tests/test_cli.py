@@ -172,6 +172,23 @@ def test_squeeze_plot_custom_grid_row_count(tmp_path):
     assert len(rows) == 2 * 20 * 18
 
 
+def test_squeeze_plot_csv_and_json_carry_the_same_numbers(tmp_path):
+    argv = ["squeeze-plot", "--n", "1", "--eta", "0.5", "--grid=-4:4:16"]
+    _, text = run_to_file(tmp_path, "s.csv", argv)
+    _, doc = run_to_file(tmp_path, "s.json", argv + ["--format", "json"])
+    results = json.loads(doc)["results"]
+    axes = results["ellipse_semi_axes"]
+    want = []
+    for name, (x, y, values) in (("space_time", ("z", "t", "values")),
+                                 ("momentum_energy", ("q_z", "q_0", "abs_values"))):
+        panel = results[name]
+        want += [[name, a, b, panel[values][i][j], axes["u"], axes["v"]]
+                 for i, a in enumerate(panel[x]) for j, b in enumerate(panel[y])]
+    _, rows = parse_squeeze_csv(text)
+    assert len(want) == 2 * 16 * 16
+    assert [[row[0]] + [float(c) for c in row[1:]] for row in rows] == want
+
+
 def test_squeeze_plot_bad_grid_exits_2(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["squeeze-plot", "--grid", "nonsense"])
@@ -306,6 +323,15 @@ def test_squeeze_plot_at_the_largest_rapidity_writes_no_warning():
         [sys.executable, "-m", "littlegroup", "squeeze-plot", "--eta", "350"],
         capture_output=True, text=True)
     assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
+def test_fourier_check_at_the_largest_rapidity_writes_no_warning():
+    proc = subprocess.run(
+        [sys.executable, "-m", "littlegroup", "fourier-check", "--eta", "350"],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout.split("\n")[1].endswith(",false")
     assert proc.stderr == ""
 
 

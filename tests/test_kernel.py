@@ -72,6 +72,20 @@ def test_banded_sample_equals_full_axes(n, eta, z_window, t_window, n_z, n_t):
     assert np.array_equal(osc._sample_grid(n, eta, grid), want)
 
 
+@pytest.mark.parametrize("eta, band_spans_rows", [(0.0, True), (0.7, True), (-0.7, True),
+                                                  (1.0, False), (-1.0, False)])
+def test_sample_is_zero_filled_only_where_the_band_misses_columns(monkeypatch, eta,
+                                                                 band_spans_rows):
+    grid = osc.GridSpec.for_rapidity(eta)
+    blocks = osc._band_blocks(eta, grid, grid.z_axis)
+    assert all(c.start == 0 and c.stop >= grid.n_t for _, c in blocks) == band_spans_rows
+    # np.empty hands out NaN here, so a sample left unwritten cannot pass as 0
+    monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: np.full(shape, np.nan))
+    got = osc._sample_grid(2, eta, grid)
+    monkeypatch.undo()
+    assert np.array_equal(got, full_axes_reference(2, eta, grid))
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 20, 29, 30])
 @pytest.mark.parametrize("eta", [0.0, 0.7, -1.3])
 def test_kernel_against_scipy_hermite(n, eta):
