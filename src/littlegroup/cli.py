@@ -18,22 +18,23 @@ is one object with "params", "results", and "residuals" keys, its
 numbers rounded to the same 12 digits.  squeeze-plot's CSV rows and
 JSON grids therefore hold the same numbers.  All physics is in natural
 units; GeV enters only through the coherence subcommand.
+
+Only the standard library and parton load with this module.  Each
+subcommand imports the layers it uses after its arguments have passed
+their checks, so coherence, --help, usage errors and every range refusal
+run without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import lorentz_algebra as la
-from . import momentum_space as ms
-from . import oscillator as osc
 from . import parton
 
 COMMUTATOR_TOL = 1e-12
@@ -81,8 +82,11 @@ def _report(args, params: dict, results, residuals: dict) -> None:
     else:
         records = [results] if isinstance(results, dict) else results
         header = list(records[0])
+        # rows repeat axis and semi-axis values: format each once per call.  Bounded,
+        # because data values seldom repeat; typed, because True == 1 == 1.0.
+        cell = functools.lru_cache(maxsize=1024, typed=True)(_csv_cell)
         lines = [",".join(header)]
-        lines += [",".join(_csv_cell(record[k]) for k in header) for record in records]
+        lines += [",".join(cell(record[k]) for k in header) for record in records]
         text = "\n".join(lines) + "\n"
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -100,6 +104,10 @@ def _check_rapidity(eta: float, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _invariance_rows() -> list[tuple[str, float, float]]:
+    import numpy as np
+
+    from . import lorentz_algebra as la
+
     thetas = np.linspace(-5.0, 5.0, 20).tolist()
     scales = (0.5, 1.0, 10.0)
     rows = []
@@ -128,6 +136,10 @@ def _invariance_rows() -> list[tuple[str, float, float]]:
 
 
 def cmd_algebra_check(args) -> int:
+    import numpy as np
+
+    from . import lorentz_algebra as la
+
     gens = None
     if args.corrupt:
         mats = {k: np.array(v) for k, v in la.GENERATOR_MATRICES.items()}
@@ -152,6 +164,8 @@ def cmd_algebra_check(args) -> int:
 def cmd_contract(args) -> int:
     if not 0 < args.eta_max <= MAX_ETA or args.steps < 1:
         raise ValueError(f"contract needs 0 < eta-max <= {MAX_ETA:g} and steps >= 1")
+    from . import lorentz_algebra as la
+
     etas = [args.eta_max * k / args.steps for k in range(args.steps + 1)]
     residuals = [la.contraction_residual(eta, args.source) for eta in etas]
     results = [{"eta": eta, "residual": r, "residual_scaled": r * math.exp(2.0 * eta)}
@@ -188,6 +202,11 @@ def _parse_grid(spec: str) -> tuple[tuple[float, float, int], ...]:
 
 def cmd_squeeze_plot(args) -> int:
     _check_rapidity(args.eta, "squeeze-plot")
+    import numpy as np
+
+    from . import momentum_space as ms
+    from . import oscillator as osc
+
     state = osc.OscillatorState(args.n, args.eta)
     if args.grid is None:
         space_grid = osc.GridSpec.for_rapidity(args.eta, 65)
@@ -230,6 +249,11 @@ def cmd_squeeze_plot(args) -> int:
 
 def cmd_fourier_check(args) -> int:
     _check_rapidity(args.eta, "fourier-check")
+    import numpy as np
+
+    from . import momentum_space as ms
+    from . import oscillator as osc
+
     state = osc.OscillatorState(0, args.eta)
     space_grid = osc.GridSpec.for_rapidity(args.eta, 512)
     momentum_grid = osc.GridSpec.for_rapidity(args.eta, 257)
@@ -271,7 +295,7 @@ def cmd_coherence(args) -> int:
         "period_dilation": parton.period_dilation(eta),
         "interaction_time_contraction": parton.interaction_time_contraction(eta),
         "coherence_ratio": parton.coherence_ratio(eta),
-        "marginal_variance": osc.marginal_variance(eta),
+        "marginal_variance": parton.marginal_variance(eta),
     }
     _report(args, {"energy_gev": args.energy, "mass_gev": args.mass}, record, {})
     return 0

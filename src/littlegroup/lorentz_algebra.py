@@ -388,3 +388,9 @@ def planar_commutation_check() -> list[tuple[str, float]]:
     stack = _stack(_PLANAR_BRACKETS, PLANAR_MATRICES)
     return _bracket_residuals(_PLANAR_BRACKETS, stack) + [
         ("structure constants {J3 N1 N2} = {L Px Py}", _LITTLE_GROUP_MISMATCH)]
+
+
+# last: hand the package this layer's names before any importer can replace them
+from . import _bind  # noqa: E402
+
+_bind(__name__)

@@ -133,3 +133,9 @@ def central_region_mask(grid: GridSpec, eta: float,
     """Boolean mask of grid nodes within n_sigmas marginal widths of 0."""
     bound = n_sigmas * marginal_sigma(eta)
     return (np.abs(grid.z_axis) <= bound)[:, None] & (np.abs(grid.t_axis) <= bound)
+
+
+# last: hand the package this layer's names before any importer can replace them
+from . import _bind  # noqa: E402
+
+_bind(__name__)

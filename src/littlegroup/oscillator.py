@@ -39,6 +39,7 @@ from typing import Optional
 import numpy as np
 
 from .lorentz_algebra import FourVector
+from .parton import marginal_variance  # noqa: F401  (re-exported)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -399,17 +400,14 @@ def eigenvalue_check(n: int, grid: GridSpec) -> float:
     return float(np.median(ratios, overwrite_input=True))
 
 
-def marginal_variance(eta: float) -> float:
-    """Variance of z under the squared ground-state wave function.
-
-    cosh(2 eta) / 2: the longitudinal quark distribution widens without
-    bound as the bound state is boosted.
-    """
-    return math.cosh(2.0 * eta) / 2.0
-
-
 def degeneracy(total: int) -> int:
     """Number of 3-D excitation triples summing to the given level."""
     if not isinstance(total, (int, np.integer)) or total < 0:
         raise ValueError("level must be a nonnegative integer")
     return (total + 1) * (total + 2) // 2
+
+
+# last: hand the package this layer's names before any importer can replace them
+from . import _bind  # noqa: E402
+
+_bind(__name__)

@@ -8,7 +8,10 @@ probe can see; once it is tiny, the constituents respond incoherently.
 
 The constituent-multiplication effect has no closed form here; its
 measurable proxy is the unbounded growth of the momentum spread along
-the positive light-cone axis (see momentum_space).
+the positive light-cone axis (see momentum_space).  Its space-time
+counterpart, the longitudinal variance cosh(2 eta)/2 of the ground
+state, is defined here because it needs only math; oscillator
+re-exports it.
 """
 
 from __future__ import annotations
@@ -57,3 +60,18 @@ def coherence_ratio(eta: float) -> float:
     Equal to 1 only at rest; strictly decreasing in eta.
     """
     return math.exp(-2.0 * eta)
+
+
+def marginal_variance(eta: float) -> float:
+    """Variance of z under the squared ground-state wave function.
+
+    cosh(2 eta) / 2: the longitudinal quark distribution widens without
+    bound as the bound state is boosted.
+    """
+    return math.cosh(2.0 * eta) / 2.0
+
+
+# last: hand the package this layer's names before any importer can replace them
+from . import _bind  # noqa: E402
+
+_bind(__name__)

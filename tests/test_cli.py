@@ -1,5 +1,6 @@
 """Command-line interface: determinism, schemas, golden files, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from littlegroup.cli import main
+from littlegroup.cli import _report, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -340,6 +341,99 @@ def test_largest_accepted_rapidity_still_runs(tmp_path):
     assert code == 0
     assert all(math.isfinite(float(x)) for row in text.split("\n")[1:-1]
                for x in row.split(","))
+
+
+# ---------------------------------------------------------------------------
+# cold paths: a fresh process loads only the layers its command uses
+# ---------------------------------------------------------------------------
+
+# runs BODY in a fresh process, then lists on the last line of stderr the
+# numpy and littlegroup modules the process loaded
+_PROBE = """
+import sys
+try:
+    {}
+finally:
+    print(*sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "littlegroup")),
+          file=sys.stderr)
+"""
+AS_MAIN = 'import runpy; runpy.run_module("littlegroup", run_name="__main__", alter_sys=True)'
+
+
+def run_fresh(argv, body=AS_MAIN):
+    """Exit code, stdout, the body's own stderr, and the modules loaded, for
+    `python -m littlegroup ARGV` (or BODY) run in a fresh process."""
+    proc = subprocess.run([sys.executable, "-c", _PROBE.format(body)] + argv,
+                          capture_output=True, text=True)
+    *stderr, loaded = proc.stderr.splitlines(keepends=True)
+    return proc.returncode, proc.stdout, "".join(stderr), set(loaded.split())
+
+
+def layers_in(loaded):
+    return {name.split(".")[1] for name in loaded
+            if name.startswith("littlegroup.") and name != "littlegroup.__main__"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coherence_runs_without_numpy(fmt):
+    code, out, err, loaded = run_fresh(["coherence", "--energy", "900", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"coherence.{fmt}").read_text(encoding="utf-8")
+    assert "numpy" not in loaded
+    assert layers_in(loaded) == {"cli", "parton"}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["coherence", "--energy", "nan"], "beam energy and mass must be finite"),
+    (["contract", "--eta-max", "1e3"], "contract needs 0 < eta-max <= 350 and steps >= 1"),
+    (["squeeze-plot", "--eta", "800"], "squeeze-plot needs |eta| <= 350"),
+    (["fourier-check", "--eta", "800"], "fourier-check needs |eta| <= 350"),
+])
+def test_refusal_runs_without_numpy(argv, message):
+    code, out, err, loaded = run_fresh(argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert "numpy" not in loaded
+
+
+def test_usage_error_and_help_run_without_numpy():
+    code, out, err, loaded = run_fresh(["coherence"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage: littlegroup coherence")
+    assert err.endswith("error: the following arguments are required: --energy\n")
+    assert "numpy" not in loaded
+    code, out, err, loaded = run_fresh(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: littlegroup") and "coherence" in out
+    assert "numpy" not in loaded
+
+
+def test_bare_package_import_loads_no_layer():
+    code, out, err, loaded = run_fresh([], "import littlegroup")
+    assert (code, out, err, loaded) == (0, "", "", {"littlegroup"})
+    code, out, err, loaded = run_fresh(
+        [], "import littlegroup; print(littlegroup.coherence_ratio(0.0))")
+    assert (code, out, err) == (0, "1.0\n", "")
+    assert "numpy" not in loaded and layers_in(loaded) == {"parton"}
+
+
+@pytest.mark.parametrize("argv,layers", [
+    (["contract", "--steps", "2"], {"cli", "parton", "lorentz_algebra"}),
+    (["algebra-check"], {"cli", "parton", "lorentz_algebra"}),
+    (["fourier-check", "--eta", "0"],
+     {"cli", "parton", "lorentz_algebra", "oscillator", "momentum_space"}),
+])
+def test_each_command_loads_only_its_layers(argv, layers):
+    code, _, err, loaded = run_fresh(argv)
+    assert (code, err) == (0, "")
+    assert layers_in(loaded) == layers
+
+
+def test_csv_cells_keep_bool_int_and_float_apart(capsys):
+    # True == 1 == 1.0 hash alike; each must still print as its own type
+    args = argparse.Namespace(format="csv", output=None, subcommand="x")
+    _report(args, {}, [{"a": True, "b": 1.0, "c": 1},
+                       {"a": 1.0, "b": True, "c": -0.0}], {})
+    assert capsys.readouterr().out == "a,b,c\ntrue,1,1\n1,true,0\n"
 
 
 # ---------------------------------------------------------------------------
