@@ -43,6 +43,7 @@ INTERVAL_TOL = 1e-10
 FOURIER_MAX_ERROR_TOL = 1e-6
 PARSEVAL_TOL = 1e-5
 MAX_ETA = 350.0  # e^(2 |eta|) stays finite: contract's scale, a grid's squeeze
+MAX_GRID_POINTS = 2**20  # squeeze-plot --grid NZ*NT: a 512^2 CSV already peaks near 360 MB
 
 _CHECK_SEED = 20260808
 
@@ -202,9 +203,10 @@ def _parse_grid(spec: str) -> tuple[tuple[float, float, int], ...]:
 
 def cmd_squeeze_plot(args) -> int:
     _check_rapidity(args.eta, "squeeze-plot")
+    if args.grid is not None and args.grid[0][2] * args.grid[1][2] > MAX_GRID_POINTS:
+        raise ValueError(f"squeeze-plot needs NZ*NT <= {MAX_GRID_POINTS} grid points")
     import numpy as np
 
-    from . import momentum_space as ms
     from . import oscillator as osc
 
     state = osc.OscillatorState(args.n, args.eta)
@@ -216,12 +218,10 @@ def cmd_squeeze_plot(args) -> int:
     momentum_grid = dataclasses.replace(osc.GridSpec.for_rapidity(args.eta),
                                         n_z=space_grid.n_z, n_t=space_grid.n_t)
     field = osc.sample_wavefunction(state, space_grid)
-    # the transform integrates over its own quadrature grid, sized to
-    # resolve the squeezed ridge regardless of the plot resolution
-    n_quad = 512 if abs(args.eta) <= 1 else (1024 if abs(args.eta) <= 2 else 2048)
-    quad_field = osc.sample_wavefunction(state, osc.GridSpec.for_rapidity(
-        args.eta, n_quad))
-    mom = ms.fourier_numeric(quad_field, momentum_grid)
+    # the transform in closed form: Hermite functions are Fourier eigenfunctions and
+    # the kernel is boost invariant, so phi_n = (-i)^n psi_n(eta) at (q_u, q_v), and
+    # the modulus drops the phase
+    mom = osc.sample_wavefunction(state, momentum_grid)
     semi_u = math.exp(args.eta)
     semi_v = math.exp(-args.eta)
     z, t = space_grid.z_axis.tolist(), space_grid.t_axis.tolist()

@@ -19,7 +19,10 @@ output grids; a real field takes its first product in real arithmetic.
 The two phase kernels are exp(-i z q_z) dz and exp(i t q_0) dt; on a square
 window (t axis = z axis, q_0 axis = q_z axis) the second is the complex
 conjugate of the first and is not built again.
-The closed form is the oscillator kernel's n = 0 wave function at (q_u, q_v).
+For every n the transform of psi_n(eta) is (-i)^n psi_n(eta) at (q_u, q_v):
+Hermite functions are eigenfunctions of the Fourier transform with eigenvalue
+(-i)^n, and the kernel q_z z - q_0 t is boost invariant.  The closed form
+below is the n = 0 case, the oscillator kernel's wave function at (q_u, q_v).
 """
 
 from __future__ import annotations

@@ -98,10 +98,15 @@ class GridSpec:
     n_t: int
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.z_min, self.z_max, self.t_min, self.t_max))):
+            raise ValueError("grid bounds must be finite")
         if not (self.z_min < self.z_max and self.t_min < self.t_max):
             raise ValueError("grid bounds must be ordered")
         if self.n_z < 16 or self.n_t < 16:
             raise ValueError("grid needs at least 16 samples per axis")
+        if not (0.0 < self.dz < math.inf and 0.0 < self.dt < math.inf):
+            raise ValueError("grid spacing must be positive and finite: "
+                             "the span overflows or the step underflows")
 
     @classmethod
     def for_rapidity(cls, eta: float, n_points: int = 512) -> "GridSpec":
@@ -280,8 +285,10 @@ def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice,
     BLOCK_POINTS, and is BLOCK_POINTS // n_t when the band spans the row.
     """
     reach = 2.0 * math.sqrt(-_LOG_FLUSH) * math.exp(-abs(eta))
-    width = 2.0 * reach / grid.dt + 5.0  # columns of one row's band
-    drift = grid.dz / grid.dt  # columns the band moves per row
+    # a row's band, and the band's move to the next row, span at most the row; the
+    # move counts as at least 1/n_z column, so every term below is finite and positive
+    width = min(2.0 * reach / grid.dt, grid.n_t) + 5.0  # columns of one row's band
+    drift = min(max(grid.dz / grid.dt, 1.0 / grid.n_z), grid.n_t)  # columns moved per row
     # the largest rows with rows * (width + rows * drift) <= BLOCK_POINTS
     rows = (math.sqrt(width**2 + 4.0 * drift * BLOCK_POINTS) - width) / (2.0 * drift)
     rows = max(int(rows), BLOCK_POINTS // grid.n_t, 1)
@@ -302,6 +309,12 @@ def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice,
 def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
     """psi_n on the grid, evaluated block by block on the band of _band_blocks;
     every sample outside it is one _psi would flush to 0."""
+    # _psi scales |u|, |v| <= (|z| + |t|)/sqrt2 by up to e^|eta| and adds the two:
+    # while this stays finite, so does every product before its square
+    corner = max(-grid.z_min, grid.z_max) + max(-grid.t_min, grid.t_max)
+    if not math.isfinite(2.0 * corner * math.exp(abs(eta))):
+        raise ValueError("grid window too wide for this rapidity: "
+                         "(|z| + |t|) exp(|eta|) overflows")
     z, t = grid.z_axis, grid.t_axis
     blocks = _band_blocks(eta, grid, z)
     # zero-fill only when some block leaves columns of its rows unwritten

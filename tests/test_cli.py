@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from littlegroup.cli import _report, main
 
 GOLDEN = Path(__file__).parent / "golden"
+SQRT2 = math.sqrt(2.0)
 
 
 def run_to_file(tmp_path, name, argv):
@@ -188,6 +190,29 @@ def test_squeeze_plot_csv_and_json_carry_the_same_numbers(tmp_path):
     _, rows = parse_squeeze_csv(text)
     assert len(want) == 2 * 16 * 16
     assert [[row[0]] + [float(c) for c in row[1:]] for row in rows] == want
+
+
+def hermite_modulus(n, eta, q_z, q_0):
+    """|psi_n(eta)| at (q_u, q_v) from scipy's H_n: the modulus of the transform."""
+    from scipy.special import eval_hermite
+    q_u, q_v = (q_z + q_0) / SQRT2, (q_z - q_0) / SQRT2
+    x = (math.exp(-eta) * q_u + math.exp(eta) * q_v) / SQRT2
+    y = (math.exp(-eta) * q_u - math.exp(eta) * q_v) / SQRT2
+    norm = 1.0 / math.sqrt(math.pi * math.factorial(n) * 2.0**n)
+    return np.abs(norm * eval_hermite(n, x) * np.exp(-(x * x + y * y) / 2.0))
+
+
+@pytest.mark.parametrize("n, eta", [(30, 0.2), (4, 2.5), (0, 2.9), (1, -0.8)])
+def test_squeeze_plot_momentum_panel_is_the_closed_form(tmp_path, n, eta):
+    _, text = run_to_file(tmp_path, "s.json", ["squeeze-plot", "--n", str(n),
+                                               f"--eta={eta!r}", "--format", "json"])
+    mom = json.loads(text)["results"]["momentum_energy"]
+    half = 6.0 * math.exp(abs(eta))  # the default window, 65 points per axis
+    axis = np.linspace(-half, half, 65)
+    assert np.allclose(mom["q_z"], axis, rtol=1e-11, atol=0)
+    assert np.allclose(mom["q_0"], axis, rtol=1e-11, atol=0)
+    want = hermite_modulus(n, eta, axis[:, None], axis)
+    assert np.abs(np.array(mom["abs_values"]) - want).max() <= 1e-12
 
 
 def test_squeeze_plot_bad_grid_exits_2(tmp_path):
@@ -388,6 +413,8 @@ def test_coherence_runs_without_numpy(fmt):
     (["contract", "--eta-max", "1e3"], "contract needs 0 < eta-max <= 350 and steps >= 1"),
     (["squeeze-plot", "--eta", "800"], "squeeze-plot needs |eta| <= 350"),
     (["fourier-check", "--eta", "800"], "fourier-check needs |eta| <= 350"),
+    (["squeeze-plot", "--grid=-1:1:100000"],
+     "squeeze-plot needs NZ*NT <= 1048576 grid points"),
 ])
 def test_refusal_runs_without_numpy(argv, message):
     code, out, err, loaded = run_fresh(argv)
@@ -419,6 +446,7 @@ def test_bare_package_import_loads_no_layer():
 @pytest.mark.parametrize("argv,layers", [
     (["contract", "--steps", "2"], {"cli", "parton", "lorentz_algebra"}),
     (["algebra-check"], {"cli", "parton", "lorentz_algebra"}),
+    (["squeeze-plot", "--eta", "0"], {"cli", "parton", "lorentz_algebra", "oscillator"}),
     (["fourier-check", "--eta", "0"],
      {"cli", "parton", "lorentz_algebra", "oscillator", "momentum_space"}),
 ])
@@ -441,8 +469,10 @@ def test_csv_cells_keep_bool_int_and_float_apart(capsys):
 # ---------------------------------------------------------------------------
 
 def numbers_in(text, fmt):
-    if fmt == "csv":
-        return [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+    if fmt == "csv":  # every column but squeeze-plot's panel label holds numbers
+        header, *rows = [line.split(",") for line in text.splitlines()]
+        return [float(cell) for row in rows for key, cell in zip(header, row)
+                if key != "representation"]
     found = []
 
     def walk(x):
@@ -493,4 +523,24 @@ def test_contract_argv_property(capsys, eta_max, steps, source, fmt):
 @example(1e308, 1e-10, "json")
 def test_coherence_argv_property(capsys, energy, mass, fmt):
     argv = ["coherence", f"--energy={energy!r}", f"--mass={mass!r}"]
+    assert_clean_outcome(capsys, argv, fmt)
+
+
+triples = st.tuples(st.floats(), st.floats(), st.integers(0, 40))
+
+
+@pytest.mark.filterwarnings("error")
+@fixture_ok
+@given(st.integers(-3, 35), st.floats(),
+       st.one_of(st.none(), st.lists(triples, min_size=1, max_size=2)), formats)
+@example(0, 1.0, [(-1.0, 1.0, 100000)], "csv")      # NZ*NT past the point cap
+@example(0, 1.0, [(-1.0, 1.0, 3000)], "json")
+@example(0, 1.0, [(-math.inf, math.inf, 16)], "csv")
+@example(0, 1.0, [(-1e308, 1e308, 16)], "json")     # the span overflows
+@example(0, 1.0, [(0.0, 1e-300, 16)], "csv")        # a band far wider than the row
+@example(0, 1.0, [(-1.0, 1.0, 16), (0.0, 1e-300, 16)], "json")
+def test_squeeze_plot_argv_property(capsys, n, eta, grid, fmt):
+    argv = ["squeeze-plot", f"--n={n}", f"--eta={eta!r}"]
+    if grid:
+        argv.append("--grid=" + ",".join(f"{lo!r}:{hi!r}:{k}" for lo, hi, k in grid))
     assert_clean_outcome(capsys, argv, fmt)

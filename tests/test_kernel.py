@@ -72,6 +72,20 @@ def test_banded_sample_equals_full_axes(n, eta, z_window, t_window, n_z, n_t):
     assert np.array_equal(osc._sample_grid(n, eta, grid), want)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, eta, bounds", [
+    (0, 0.0, (-1.0, 1.0, 0.0, 1e-300)),      # a band 1e302 columns wide
+    (3, 0.0, (0.0, 1e-300, 0.0, 1e-300)),
+    (2, 1.0, (0.0, 1e-310, -1e300, 1e300)),  # its move per row underflows to 0
+    (5, -2.0, (-1e300, 1e300, 0.0, 1e-310)), # ... or overflows
+])
+def test_extreme_window_bands_stay_finite(n, eta, bounds):
+    grid = osc.GridSpec(*bounds, 16, 16)
+    with np.errstate(over="ignore"):  # squares past 1e308 in the reference
+        want = full_axes_reference(n, eta, grid)
+    assert np.array_equal(osc._sample_grid(n, eta, grid), want)
+
+
 @pytest.mark.parametrize("eta, band_spans_rows", [(0.0, True), (0.7, True), (-0.7, True),
                                                   (1.0, False), (-1.0, False)])
 def test_sample_is_zero_filled_only_where_the_band_misses_columns(monkeypatch, eta,

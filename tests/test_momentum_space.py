@@ -139,6 +139,16 @@ def test_transform_error_falls_with_resolution():
         assert fine <= coarse / 4.0 or fine <= 1e-8
 
 
+@pytest.mark.parametrize("n, eta, half", [(30, 0.2, 16.0), (7, 0.6, 14.0), (3, -0.7, 16.0)])
+def test_transform_is_the_closed_form_times_its_phase(n, eta, half):
+    # Hermite functions are Fourier eigenfunctions: phi_n = (-i)^n psi_n at (q_u, q_v),
+    # so on the same window the closed form is the space-time samples themselves
+    grid = osc.GridSpec(-half, half, -half, half, 1024, 1024)
+    field = osc.sample_wavefunction(osc.OscillatorState(n, eta), grid)
+    mom = ms.fourier_numeric(field, grid)
+    assert np.abs(mom.values - (-1j) ** n * field.values).max() <= 1e-12
+
+
 def test_transform_requires_space_time_field():
     field, mom = transform_setup(0.5, n_space=64, n_mom=64)
     with pytest.raises(ValueError):

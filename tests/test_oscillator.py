@@ -191,6 +191,25 @@ def test_grid_validation():
         osc.GridSpec(-1.0, 1.0, -1.0, 1.0, 8, 32)
 
 
+@pytest.mark.parametrize("bounds, message", [
+    ((-math.inf, math.inf, -1.0, 1.0), "finite"),
+    ((math.nan, 1.0, -1.0, 1.0), "finite"),
+    ((-1e308, 1e308, -1.0, 1.0), "span overflows"),
+    ((-1.0, 1.0, 0.0, 5e-324), "step underflows"),
+])
+def test_grid_refuses_a_window_it_cannot_space(bounds, message):
+    with pytest.raises(ValueError, match=message):
+        osc.GridSpec(*bounds, 16, 16)
+
+
+def test_window_too_wide_for_the_rapidity_is_refused():
+    grid = osc.GridSpec(-1e300, 1e300, -1e300, 1e300, 16, 16)
+    values = osc.sample_wavefunction(osc.OscillatorState(2, 3.0), grid).values
+    assert np.isfinite(values).all()
+    with pytest.raises(ValueError, match="too wide for this rapidity"):
+        osc.sample_wavefunction(osc.OscillatorState(2, 300.0), grid)
+
+
 def test_default_grid_covers_tails():
     grid = osc.GridSpec.for_rapidity(1.0)
     assert grid.covers_tails(1.0)
