@@ -20,9 +20,9 @@ JSON grids therefore hold the same numbers.  All physics is in natural
 units; GeV enters only through the coherence subcommand.
 
 Only the standard library and parton load with this module.  Each
-subcommand imports the layers it uses after its arguments have passed
-their checks, so coherence, --help, usage errors and every range refusal
-run without numpy.
+subcommand checks its arguments against parton's domain rules, then
+imports the layers it uses, so coherence, --help, usage errors and every
+refusal run without numpy.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ INVARIANCE_TOL = 1e-9
 INTERVAL_TOL = 1e-10
 FOURIER_MAX_ERROR_TOL = 1e-6
 PARSEVAL_TOL = 1e-5
-MAX_ETA = 350.0  # e^(2 |eta|) stays finite: contract's scale, a grid's squeeze
 MAX_GRID_POINTS = 2**20  # squeeze-plot --grid NZ*NT: a 512^2 CSV already peaks near 360 MB
 
 _CHECK_SEED = 20260808
@@ -93,11 +92,6 @@ def _report(args, params: dict, results, residuals: dict) -> None:
         Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def _check_rapidity(eta: float, what: str) -> None:
-    if not abs(eta) <= MAX_ETA:
-        raise ValueError(f"{what} needs |eta| <= {MAX_ETA:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +157,9 @@ def cmd_algebra_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_contract(args) -> int:
-    if not 0 < args.eta_max <= MAX_ETA or args.steps < 1:
-        raise ValueError(f"contract needs 0 < eta-max <= {MAX_ETA:g} and steps >= 1")
+    if not 0 < args.eta_max <= parton.MAX_RAPIDITY or args.steps < 1:
+        raise ValueError(f"contract needs 0 < eta-max <= {parton.MAX_RAPIDITY:g} "
+                         "and steps >= 1")
     from . import lorentz_algebra as la
 
     etas = [args.eta_max * k / args.steps for k in range(args.steps + 1)]
@@ -202,9 +197,14 @@ def _parse_grid(spec: str) -> tuple[tuple[float, float, int], ...]:
 
 
 def cmd_squeeze_plot(args) -> int:
-    _check_rapidity(args.eta, "squeeze-plot")
+    parton._check_rapidity(args.eta, "squeeze-plot")
     if args.grid is not None and args.grid[0][2] * args.grid[1][2] > MAX_GRID_POINTS:
         raise ValueError(f"squeeze-plot needs NZ*NT <= {MAX_GRID_POINTS} grid points")
+    parton._check_excitation(args.n, "excitation number")
+    if args.grid is not None:  # the default window passes both rules at any allowed eta
+        (zmin, zmax, nz), (tmin, tmax, nt) = args.grid
+        parton._check_window(zmin, zmax, tmin, tmax, nz, nt)
+        parton._check_reach(max(-zmin, zmax), max(-tmin, tmax), args.eta)
     import numpy as np
 
     from . import oscillator as osc
@@ -248,7 +248,7 @@ def cmd_squeeze_plot(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_fourier_check(args) -> int:
-    _check_rapidity(args.eta, "fourier-check")
+    parton._check_rapidity(args.eta, "fourier-check")
     import numpy as np
 
     from . import momentum_space as ms
@@ -289,7 +289,6 @@ def cmd_fourier_check(args) -> int:
 def cmd_coherence(args) -> int:
     beam = parton.BeamSpec(args.energy, args.mass)
     eta = parton.rapidity_from_beam(beam)
-    _check_rapidity(eta, "coherence (eta = arccosh(energy / mass))")
     record = {
         "eta": eta,
         "period_dilation": parton.period_dilation(eta),

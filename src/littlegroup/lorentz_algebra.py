@@ -47,6 +47,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .parton import _check_rapidity
+
 GENERATOR_LABELS = ("J1", "J2", "J3", "K1", "K2", "K3", "N1", "N2")
 PLANAR_LABELS = ("L", "Px", "Py")
 
@@ -288,6 +290,7 @@ def contracted_generator(eta: float, source: str = "J2") -> np.ndarray:
     eta = float(eta)
     if eta < 0:
         raise ValueError("contraction rapidity must be nonnegative")
+    _check_rapidity(eta, "contracted_generator")
     sign, _ = _lookup(_CONTRACTION_SOURCES, source, "contraction source")
     boost = group_element("K3", eta).matrix
     boost_inv = group_element("K3", -eta).matrix

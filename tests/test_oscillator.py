@@ -53,6 +53,7 @@ def test_relative_coordinates_linear():
 
 def test_hermite_order_zero_constant():
     assert osc.hermite(0, 17.3) == 1.0
+    assert osc.hermite(0, 9e307) == 1.0     # where 2 x overflows
     assert np.all(osc.hermite(0, np.linspace(-4, 4, 9)) == 1.0)
 
 
@@ -196,6 +197,7 @@ def test_grid_validation():
     ((math.nan, 1.0, -1.0, 1.0), "finite"),
     ((-1e308, 1e308, -1.0, 1.0), "span overflows"),
     ((-1.0, 1.0, 0.0, 5e-324), "step underflows"),
+    ((np.float64(-1e308), np.float64(1e308), -1.0, 1.0), "span overflows"),
 ])
 def test_grid_refuses_a_window_it_cannot_space(bounds, message):
     with pytest.raises(ValueError, match=message):
