@@ -13,12 +13,13 @@ form below is, modulus for modulus, the continuous Fourier transform
 
     phi(q_z, q_0) = (1 / 2 pi) integral psi(z, t) exp(-i (q_z z - q_0 t)) dz dt
 
-which fourier_numeric evaluates by direct trapezoidal quadrature
-(vectorized as two dense matrix products, not an FFT) for arbitrary
-output grids; a real field takes its first product in real arithmetic.
-The two phase kernels are exp(-i z q_z) dz and exp(i t q_0) dt; on a square
-window (t axis = z axis, q_0 axis = q_z axis) the second is the complex
-conjugate of the first and is not built again.
+which fourier_numeric evaluates by direct trapezoidal quadrature (no FFT)
+for arbitrary output grids.  On the exactly antisymmetric offsets
+(j - (N-1)/2) step, exp(-i z q) = cos(z q) - i sin(z q) is even plus odd
+in z and in q, so the field is folded in halves along z, then t, and four
+real quarter-size products fill the output quadrants by parity: from
+512^2 to 257^2 samples, 51 M multiply-adds against 270 M for two dense
+complex products.
 For every n the transform of psi_n(eta) is (-i)^n psi_n(eta) at (q_u, q_v):
 Hermite functions are eigenfunctions of the Fourier transform with eigenvalue
 (-i)^n, and the kernel q_z z - q_0 t is boost invariant.  The closed form
@@ -94,9 +95,29 @@ def sample_momentum_wavefunction(eta: float, grid: GridSpec) -> ScalarField:
     return ScalarField(grid, _sample_grid(0, eta, grid), state, MOMENTUM_ENERGY)
 
 
-def _square(grid: GridSpec) -> bool:
-    """True when the t axis is the z axis, so both get the same samples."""
-    return (grid.z_min, grid.z_max, grid.n_z) == (grid.t_min, grid.t_max, grid.n_t)
+#: field points per column block of the z fold; the default 512^2 grid is one block
+FOLD_POINTS = 2**17
+
+
+def _centred(lo: float, hi: float, n: int) -> tuple[float, np.ndarray]:
+    """Centre and offsets (j - (n-1)/2) step of an axis; offset n-1-j is -offset j exactly."""
+    return 0.5 * lo + 0.5 * hi, (np.arange(n) - 0.5 * (n - 1)) * ((hi - lo) / (n - 1))
+
+
+def _parity_kernels(offsets, weights, freqs) -> tuple[np.ndarray, np.ndarray]:
+    """w cos and w sin of offset * freq on the upper halves of both axes."""
+    h = len(offsets) // 2
+    w = weights[h:, None].copy()
+    w[0] /= 1 + len(offsets) % 2  # an odd axis's middle row folds onto itself
+    phase = np.outer(offsets[h:], freqs[len(freqs) // 2:])
+    return w * np.cos(phase), w * np.sin(phase)
+
+
+def _fold(g, cos_w, sin_w) -> tuple[np.ndarray, np.ndarray]:
+    """g's rows folded into even and odd halves about the middle, times cos and sin."""
+    h = len(g) // 2
+    mirror = g[:len(g) - h][::-1]
+    return cos_w.T @ (g[h:] + mirror), sin_w.T @ (g[h:] - mirror)
 
 
 def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
@@ -104,25 +125,44 @@ def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
 
     Returns complex samples on the momentum grid with prefactor 1/(2 pi)
     and measure dz dt.  The tail-guard flag goes false when the input
-    window is too narrow for the sampled state.
+    window is too narrow for the sampled state.  Refuses a window on which
+    the phases or the sums overflow.
     """
     if field.representation != SPACE_TIME:
         raise ValueError("fourier_numeric needs a space-time field")
-    z = field.grid.z_axis
-    t = field.grid.t_axis
-    wz, wt = field.grid.trapezoid_weights()
-    qz = momentum_grid.z_axis
-    q0 = momentum_grid.t_axis
-    kernel_z = np.exp(-1j * np.outer(z, qz)) * wz[:, None]
-    if _square(field.grid) and _square(momentum_grid):
-        kernel_t = kernel_z.conj()  # t = z and q_0 = q_z
-    else:
-        kernel_t = np.exp(1j * np.outer(t, q0)) * wt[:, None]
-    if np.iscomplexobj(field.values):
-        half = field.values.T @ kernel_z
-    else:  # one real product: kernel_z's real and imaginary parts are adjacent columns
-        half = (field.values.T @ kernel_z.view(float)).view(complex)
-    values = (half.T @ kernel_t) / (2.0 * math.pi)
+    g, m = field.grid, momentum_grid
+    cz, zeta = _centred(g.z_min, g.z_max, g.n_z)
+    ct, tau = _centred(g.t_min, g.t_max, g.n_t)
+    cqz, kappa = _centred(m.z_min, m.z_max, m.n_z)
+    cq0, lam = _centred(m.t_min, m.t_max, m.n_t)
+    wz, wt = g.trapezoid_weights()
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        cos_z, sin_z = _parity_kernels(zeta, wz, kappa)
+        cos_t, sin_t = _parity_kernels(tau, wt, lam)
+        # the momentum centre goes onto the field, one phase per row and per column
+        rows, cols = np.exp(-1j * cqz * zeta)[:, None], np.exp(1j * cq0 * tau)
+        width, folds = max(1, FOLD_POINTS // len(cos_z)), []
+        for k in range(0, g.n_t, width):
+            block = field.values[:, k:k + width]
+            if cqz or cq0:
+                block = block * rows * cols[k:k + width]
+            folds.append(_fold(block, cos_z, sin_z))
+        hc, hs = (np.hstack(h) for h in zip(*folds))
+        # four quarter-size products fill the four output quadrants by parity
+        cc, cs = (x.T for x in _fold(hc.T, cos_t, sin_t))
+        sc, ss = (x.T for x in _fold(hs.T, cos_t, sin_t))
+        even, odd, i_diff, i_sum = cc + ss, cc - ss, 1j * (cs - sc), 1j * (cs + sc)
+        values = np.empty((m.n_z, m.n_t), complex)
+        up_z, lo_z = slice(m.n_z // 2, None), slice((m.n_z - 1) // 2, None, -1)
+        up_t, lo_t = slice(m.n_t // 2, None), slice((m.n_t - 1) // 2, None, -1)
+        values[up_z, up_t], values[up_z, lo_t] = even + i_diff, odd - i_sum
+        values[lo_z, up_t], values[lo_z, lo_t] = odd + i_sum, even - i_diff
+        values /= 2.0 * math.pi
+        if cz or ct:  # the space centre goes onto the output
+            values *= np.outer(np.exp(-1j * cz * (cqz + kappa)),
+                               np.exp(1j * ct * (cq0 + lam)))
+    if not np.isfinite(values).all():
+        raise ValueError("fourier_numeric: the phases or sums overflow on this window")
     tail_ok = field.tail_ok
     if field.state is not None:
         tail_ok = tail_ok and field.grid.covers_tails(field.state.eta)

@@ -136,6 +136,7 @@ class GridSpec:
 
     def covers_tails(self, eta: float) -> bool:
         """True if all four bounds reach the 6 exp(|eta|) tail guard."""
+        _check_rapidity(eta, "GridSpec.covers_tails")
         need = TAIL_HALF_WIDTH_FACTOR * math.exp(abs(eta)) - 1e-9
         return (-self.z_min >= need and self.z_max >= need
                 and -self.t_min >= need and self.t_max >= need)

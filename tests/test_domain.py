@@ -49,12 +49,13 @@ def refuse_or_vouch(fn, *args):
 
 @settings(deadline=None)
 @given(rapidity, any_float, any_float)
-@example(800.0, 1.0, 1.0)           # OscillatorState(0, 800): an OverflowError in the default grid
+@example(800.0, 1.0, 1.0)           # OverflowError: OscillatorState(0, 800), covers_tails(800)
 @example(0.0, 1.6e131, 8.9e-178)    # energy / mass overflows: the beam rapidity read inf
 def test_every_rapidity_is_refused_or_vouched_for(eta, energy, mass):
     refuse_or_vouch(lambda: parton.rapidity_from_beam(parton.BeamSpec(energy, mass)))
     refuse_or_vouch(osc.OscillatorState, 0, eta)
     refuse_or_vouch(osc.GridSpec.for_rapidity, eta, 16)
+    refuse_or_vouch(SMALL_GRID.covers_tails, eta)
     refuse_or_vouch(lambda: osc.normalization(osc.OscillatorState(0, eta), SMALL_GRID))
     for law in (parton.period_dilation, parton.interaction_time_contraction,
                 parton.coherence_ratio, parton.marginal_variance,
@@ -93,3 +94,17 @@ def test_every_window_is_refused_or_vouched_for(n, eta, window):
                 else osc.GridSpec(*window, 16, 16))
         return osc.lightcone_widths(osc.sample_wavefunction(osc.OscillatorState(n, eta), grid))
     refuse_or_vouch(widths)
+
+
+@settings(deadline=None)
+@given(st.tuples(any_float, any_float, any_float, any_float),
+       st.one_of(st.none(), st.tuples(any_float, any_float, any_float, any_float)),
+       any_float)
+@example((-1e160, 1e160, -1e160, 1e160), None, 1.0)  # phases overflow: 256 NaN, warnings
+def test_every_transform_is_refused_or_vouched_for(window, momentum_window, value):
+    def transform():
+        grid = osc.GridSpec(*window, 16, 16)
+        momentum = grid if momentum_window is None else osc.GridSpec(*momentum_window, 16, 16)
+        field = osc.ScalarField(grid, np.full((16, 16), value), None, osc.SPACE_TIME)
+        return ms.fourier_numeric(field, momentum)
+    refuse_or_vouch(transform)

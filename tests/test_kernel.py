@@ -176,7 +176,7 @@ def test_real_field_transform_matches_complex_path():
 
 
 def two_kernel_transform(field, momentum_grid):
-    """fourier_numeric's quadrature with the t kernel from its own exp."""
+    """The dense float64 quadrature: one complex exp kernel per axis."""
     z, t = field.grid.z_axis, field.grid.t_axis
     wz, wt = field.grid.trapezoid_weights()
     qz, q0 = momentum_grid.z_axis, momentum_grid.t_axis
@@ -189,16 +189,67 @@ def two_kernel_transform(field, momentum_grid):
     return (half.T @ kernel_t.T) / (2.0 * math.pi)
 
 
-@pytest.mark.parametrize("n, eta", [(0, 0.0), (3, 2.3), (1, 8.0)])
-def test_square_window_transform_equals_two_kernel_formula(n, eta):
+def long_double_transform(field, momentum_grid):
+    """The same trapezoid sum with nodes, weights, phases and sums in long double."""
+    ld = np.longdouble
+
+    def axis(lo, hi, n):
+        nodes = np.linspace(ld(lo), ld(hi), n)
+        weights = np.full(n, (ld(hi) - ld(lo)) / (n - 1))
+        weights[[0, -1]] /= 2
+        return nodes, weights
+
+    g, m = field.grid, momentum_grid
+    z, wz = axis(g.z_min, g.z_max, g.n_z)
+    t, wt = axis(g.t_min, g.t_max, g.n_t)
+    (qz, _), (q0, _) = axis(m.z_min, m.z_max, m.n_z), axis(m.t_min, m.t_max, m.n_t)
+    kernel_z = np.exp(-1j * np.outer(qz, z).astype(np.clongdouble)) * wz
+    kernel_t = np.exp(1j * np.outer(t, q0).astype(np.clongdouble)) * wt[:, None]
+    return kernel_z @ field.values.astype(np.clongdouble) @ kernel_t / (2 * np.pi)
+
+
+def square_case(n, eta, n_space=200, n_mom=65):
     field = osc.sample_wavefunction(osc.OscillatorState(n, eta),
-                                    osc.GridSpec.for_rapidity(eta, 200))
-    as_complex = osc.ScalarField(field.grid, field.values.astype(complex),
-                                 field.state, osc.SPACE_TIME)
-    momentum_grid = osc.GridSpec.for_rapidity(eta, 65)
-    for f in (field, as_complex):
-        assert np.array_equal(ms.fourier_numeric(f, momentum_grid).values,
-                              two_kernel_transform(f, momentum_grid))
+                                    osc.GridSpec.for_rapidity(eta, n_space))
+    return field, osc.GridSpec.for_rapidity(eta, n_mom)
+
+
+def window_case(space, momentum, complex_=False):
+    field = osc.sample_wavefunction(osc.OscillatorState(2, 0.4), osc.GridSpec(*space))
+    if complex_:
+        values = field.values * np.exp(0.3j * field.grid.z_axis)[:, None]
+        field = osc.ScalarField(field.grid, values, None, osc.SPACE_TIME)
+    return field, osc.GridSpec(*momentum)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no finer than float64 here")
+@pytest.mark.parametrize("case", [
+    lambda: square_case(0, 0.0),
+    lambda: square_case(3, 2.3),
+    lambda: square_case(1, 8.0),
+    lambda: square_case(2, 0.7, 201, 64),                                  # odd in, even out
+    lambda: window_case((-7.0, 8.0, -9.0, 7.5, 121, 140), (-4.0, 5.0, -3.5, 4.5, 40, 53)),
+    lambda: window_case((-6.0, 6.0, -7.0, 7.0, 101, 90), (-3.0, 3.0, -2.0, 2.5, 33, 48)),
+    lambda: window_case((-7.0, 8.0, -9.0, 7.5, 121, 140), (-4.0, 5.0, -3.5, 4.5, 40, 53),
+                        complex_=True),
+], ids=["rest", "eta2.3", "eta8", "odd-even", "off-centre", "non-square", "complex"])
+def test_transform_is_as_accurate_as_the_dense_quadrature(case):
+    field, momentum_grid = case()
+    oracle = long_double_transform(field, momentum_grid)
+    err = float(np.abs(ms.fourier_numeric(field, momentum_grid).values - oracle).max())
+    dense = float(np.abs(two_kernel_transform(field, momentum_grid) - oracle).max())
+    assert err <= 2.0 * dense + 1e-15 * float(np.abs(oracle).max())
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_column_blocks_do_not_change_the_transform(monkeypatch, complex_):
+    field, momentum_grid = window_case((-7.0, 8.0, -9.0, 7.5, 121, 140),
+                                       (-4.0, 5.0, -3.5, 4.5, 40, 53), complex_)
+    whole = ms.fourier_numeric(field, momentum_grid).values
+    monkeypatch.setattr(ms, "FOLD_POINTS", 61 * 9)  # 9 columns a block, the last one short
+    blocked = ms.fourier_numeric(field, momentum_grid).values
+    assert np.abs(blocked - whole).max() <= 1e-15 * np.abs(whole).max()
 
 
 @pytest.mark.parametrize("space, momentum", [
