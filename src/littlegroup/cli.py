@@ -43,6 +43,7 @@ INTERVAL_TOL = 1e-10
 FOURIER_MAX_ERROR_TOL = 1e-6
 PARSEVAL_TOL = 1e-5
 MAX_GRID_POINTS = 2**20  # squeeze-plot --grid NZ*NT: a 512^2 CSV already peaks near 360 MB
+MAX_CONTRACT_STEPS = 10**5  # contract --steps: 10**5 JSON rows take about 4 s and 170 MB
 
 _CHECK_SEED = 20260808
 
@@ -160,6 +161,8 @@ def cmd_contract(args) -> int:
     if not 0 < args.eta_max <= parton.MAX_RAPIDITY or args.steps < 1:
         raise ValueError(f"contract needs 0 < eta-max <= {parton.MAX_RAPIDITY:g} "
                          "and steps >= 1")
+    if args.steps > MAX_CONTRACT_STEPS:
+        raise ValueError(f"contract needs steps <= {MAX_CONTRACT_STEPS}")
     from . import lorentz_algebra as la
 
     etas = [args.eta_max * k / args.steps for k in range(args.steps + 1)]

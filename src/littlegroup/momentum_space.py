@@ -14,16 +14,17 @@ form below is, modulus for modulus, the continuous Fourier transform
     phi(q_z, q_0) = (1 / 2 pi) integral psi(z, t) exp(-i (q_z z - q_0 t)) dz dt
 
 which fourier_numeric evaluates by direct trapezoidal quadrature (no FFT)
-for arbitrary output grids.  On the exactly antisymmetric offsets
-(j - (N-1)/2) step, exp(-i z q) = cos(z q) - i sin(z q) is even plus odd
-in z and in q, so the field is folded in halves along z, then t, and four
-real quarter-size products fill the output quadrants by parity: from
-512^2 to 257^2 samples, 51 M multiply-adds against 270 M for two dense
-complex products.
+for arbitrary output grids.  On GridSpec's nodes, the centre plus the
+exactly antisymmetric offsets (j - (N-1)/2) step, exp(-i z q) =
+cos(z q) - i sin(z q) is even plus odd in z and in q, so the field is
+folded in halves along z, then t, and four real quarter-size products
+fill the output quadrants by parity: from 512^2 to 257^2 samples, 51 M
+multiply-adds against 270 M for two dense complex products.
 For every n the transform of psi_n(eta) is (-i)^n psi_n(eta) at (q_u, q_v):
 Hermite functions are eigenfunctions of the Fourier transform with eigenvalue
 (-i)^n, and the kernel q_z z - q_0 t is boost invariant.  The closed form
-below is the n = 0 case, the oscillator kernel's wave function at (q_u, q_v).
+below is the n = 0 case, which momentum_wavefunction evaluates with the
+oscillator kernel itself, boosted_wavefunction at (q_z, q_0).
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ from .oscillator import (
     GridSpec,
     OscillatorState,
     ScalarField,
-    _check_points,
+    _centred,
     _check_rapidity,
-    _psi,
     _sample_grid,
+    boosted_wavefunction,
     marginal_variance,
 )
 
@@ -85,8 +86,7 @@ def momentum_wavefunction(eta: float, q: MomentumPoint) -> float:
     eta = 0, elongated along the q_u axis for eta > 0.
     """
     _check_rapidity(eta, "momentum_wavefunction")
-    _check_points(q.q_z, q.q_0, eta)
-    return float(_psi(0, eta, q.q_u, q.q_v))
+    return boosted_wavefunction(OscillatorState(0, eta), q.q_z, q.q_0)
 
 
 def sample_momentum_wavefunction(eta: float, grid: GridSpec) -> ScalarField:
@@ -97,11 +97,8 @@ def sample_momentum_wavefunction(eta: float, grid: GridSpec) -> ScalarField:
 
 #: field points per column block of the z fold; the default 512^2 grid is one block
 FOLD_POINTS = 2**17
-
-
-def _centred(lo: float, hi: float, n: int) -> tuple[float, np.ndarray]:
-    """Centre and offsets (j - (n-1)/2) step of an axis; offset n-1-j is -offset j exactly."""
-    return 0.5 * lo + 0.5 * hi, (np.arange(n) - 0.5 * (n - 1)) * ((hi - lo) / (n - 1))
+#: half-width of central_region_mask, in marginal standard deviations
+CENTRAL_SIGMAS = 4.0
 
 
 def _parity_kernels(offsets, weights, freqs) -> tuple[np.ndarray, np.ndarray]:
@@ -163,22 +160,14 @@ def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
                                np.exp(1j * ct * (cq0 + lam)))
     if not np.isfinite(values).all():
         raise ValueError("fourier_numeric: the phases or sums overflow on this window")
-    tail_ok = field.tail_ok
-    if field.state is not None:
-        tail_ok = tail_ok and field.grid.covers_tails(field.state.eta)
-    return ScalarField(momentum_grid, values, field.state, MOMENTUM_ENERGY,
-                       tail_ok=tail_ok)
+    tail_ok = field.tail_ok and (field.state is None or g.covers_tails(field.state.eta))
+    return ScalarField(m, values, field.state, MOMENTUM_ENERGY, tail_ok=tail_ok)
 
 
-def marginal_sigma(eta: float) -> float:
-    """Marginal standard deviation along q_z (equal to the one along z)."""
-    return math.sqrt(marginal_variance(eta))
-
-
-def central_region_mask(grid: GridSpec, eta: float,
-                        n_sigmas: float = 4.0) -> np.ndarray:
-    """Boolean mask of grid nodes within n_sigmas marginal widths of 0."""
-    bound = n_sigmas * marginal_sigma(eta)
+def central_region_mask(grid: GridSpec, eta: float) -> np.ndarray:
+    """Boolean mask of grid nodes within CENTRAL_SIGMAS marginal standard
+    deviations of 0; the one along q_z equals the one along z."""
+    bound = CENTRAL_SIGMAS * math.sqrt(marginal_variance(eta))
     return (np.abs(grid.z_axis) <= bound)[:, None] & (np.abs(grid.t_axis) <= bound)
 
 

@@ -23,7 +23,7 @@ passes _LOG_FLUSH once |z - t| > 2 sqrt(-_LOG_FLUSH) e^-eta (|z + t| for
 eta < 0).  Each block evaluates only the columns within that reach of
 the diagonal; a grid starts as zeros unless that band spans every row, so
 every skipped sample is one the kernel would flush to 0 and the array
-equals a full evaluation.
+equals a full evaluation.  normalization is a state's self-overlap.
 The trapezoidal rule's default window, half-width 6 exp(|eta|), covers the
 tails, but its 512 points leave v unresolved from |eta| ~ 1.8 on, and
 tail_ok checks only the window: normalization(OscillatorState(0, 4))
@@ -81,12 +81,18 @@ class QuarkPairCoordinates:
     x_b: FourVector
 
 
+def _centred(lo: float, hi: float, n: int) -> tuple[float, np.ndarray]:
+    """Centre and offsets (j - (n-1)/2) step of an axis; offset n-1-j is -offset j exactly."""
+    return 0.5 * lo + 0.5 * hi, (np.arange(n) - 0.5 * (n - 1)) * ((hi - lo) / (n - 1))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform rectangular sampling window.
 
     The axis names follow the space-time representation (z, t); for
-    momentum-energy fields the same bounds are read as (q_z, q_0).
+    momentum-energy fields the same bounds are read as (q_z, q_0).  An axis
+    is _centred's centre plus offsets, the node set fourier_numeric folds on.
     """
 
     z_min: float
@@ -108,11 +114,11 @@ class GridSpec:
 
     @property
     def z_axis(self) -> np.ndarray:
-        return np.linspace(self.z_min, self.z_max, self.n_z)
+        return np.add(*_centred(self.z_min, self.z_max, self.n_z))
 
     @property
     def t_axis(self) -> np.ndarray:
-        return np.linspace(self.t_min, self.t_max, self.n_t)
+        return np.add(*_centred(self.t_min, self.t_max, self.n_t))
 
     @property
     def dz(self) -> float:
@@ -126,20 +132,16 @@ class GridSpec:
         return np.meshgrid(self.z_axis, self.t_axis, indexing="ij")
 
     def trapezoid_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        wz = np.full(self.n_z, self.dz)
-        wz[0] *= 0.5
-        wz[-1] *= 0.5
-        wt = np.full(self.n_t, self.dt)
-        wt[0] *= 0.5
-        wt[-1] *= 0.5
+        wz, wt = np.full(self.n_z, self.dz), np.full(self.n_t, self.dt)
+        wz[[0, -1]] *= 0.5
+        wt[[0, -1]] *= 0.5
         return wz, wt
 
     def covers_tails(self, eta: float) -> bool:
         """True if all four bounds reach the 6 exp(|eta|) tail guard."""
         _check_rapidity(eta, "GridSpec.covers_tails")
         need = TAIL_HALF_WIDTH_FACTOR * math.exp(abs(eta)) - 1e-9
-        return (-self.z_min >= need and self.z_max >= need
-                and -self.t_min >= need and self.t_max >= need)
+        return min(-self.z_min, self.z_max, -self.t_min, self.t_max) >= need
 
 
 @dataclass(frozen=True)
@@ -353,8 +355,7 @@ def normalization(state: OscillatorState, grid: GridSpec | None = None
     """
     if grid is None:
         grid = GridSpec.for_rapidity(state.eta)
-    f = sample_wavefunction(state, grid)
-    return Quadrature(power_integral(f), f.tail_ok)
+    return Quadrature(overlap(state, state, grid), grid.covers_tails(state.eta))
 
 
 def overlap(state_a: OscillatorState, state_b: OscillatorState,

@@ -54,6 +54,10 @@ def _check_window(z_min: float, z_max: float, t_min: float, t_max: float,
         raise ValueError("grid bounds must be finite")
     if not (z_min < z_max and t_min < t_max):
         raise ValueError("grid bounds must be ordered")
+    try:
+        n_z, n_t = operator.index(n_z), operator.index(n_t)
+    except TypeError:
+        raise ValueError("grid sample counts must be integers") from None
     if n_z < 16 or n_t < 16:
         raise ValueError("grid needs at least 16 samples per axis")
     # in Python floats, so that a span that overflows reads inf without a warning

@@ -422,6 +422,7 @@ def test_coherence_runs_without_numpy(fmt):
      "grid spacing must be positive and finite: the span overflows or the step underflows"),
     (["squeeze-plot", "--eta", "300", "--grid=-1e300:1e300:16"],
      "window too wide for this rapidity: (|z| + |t|) exp(|eta|) overflows"),
+    (["contract", "--steps", "100001"], "contract needs steps <= 100000"),
 ])
 def test_refusal_runs_without_numpy(argv, message):
     code, out, err, loaded = run_fresh(argv)
@@ -519,6 +520,7 @@ fixture_ok = settings(deadline=None,
        st.sampled_from(("J2", "J1")), formats)
 @example(1e3, 10, "J2", "csv")
 @example(350.0, 50, "J1", "json")
+@example(10.0, 10**7, "J2", "csv")    # refused before the table, whose memory grows with its rows, is built
 def test_contract_argv_property(capsys, eta_max, steps, source, fmt):
     argv = ["contract", f"--eta-max={eta_max!r}", "--steps", str(steps), "--source", source]
     assert_clean_outcome(capsys, argv, fmt)

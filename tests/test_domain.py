@@ -85,13 +85,16 @@ def test_every_point_is_refused_or_vouched_for(n, eta, z, t):
 
 @settings(deadline=None)
 @given(st.integers(0, osc.MAX_EXCITATION), rapidity,
-       st.one_of(st.none(), st.tuples(any_float, any_float, any_float, any_float)))
-@example(0, 0.0, (100.0, 101.0, 100.0, 101.0))  # no weight on the grid: NaN widths
-@example(0, 200.0, None)                        # moments overflow on the default window
-def test_every_window_is_refused_or_vouched_for(n, eta, window):
+       st.one_of(st.none(), st.tuples(any_float, any_float, any_float, any_float)),
+       st.one_of(st.just(16), st.integers(-1, 40), st.floats(0.0, 64.0)))
+@example(0, 0.0, (100.0, 101.0, 100.0, 101.0), 16)  # no weight on the grid: NaN widths
+@example(0, 200.0, None, 16)                        # moments overflow on the default window
+@example(0, 0.0, (-1.0, 1.0, -1.0, 1.0), 16.5)      # the grid built, then TypeError at sampling
+@example(0, 0.0, (-1.0, 1.0, -1.0, 1.0), 16.0)      # so did an integral float count
+def test_every_window_is_refused_or_vouched_for(n, eta, window, n_z):
     def widths():
         grid = (osc.GridSpec.for_rapidity(eta, 64) if window is None
-                else osc.GridSpec(*window, 16, 16))
+                else osc.GridSpec(*window, n_z, 16))
         return osc.lightcone_widths(osc.sample_wavefunction(osc.OscillatorState(n, eta), grid))
     refuse_or_vouch(widths)
 

@@ -117,6 +117,23 @@ def test_scalar_input_returns_float():
                                   rel=1e-13)
 
 
+@pytest.mark.parametrize("window", [(-6.0, 6.0, -6.0, 6.0, 512, 512),
+                                    (-7.3, 7.3, -0.2, 0.2, 301, 40)])
+def test_symmetric_window_axes_are_antisymmetric(window):
+    grid = osc.GridSpec(*window)
+    assert np.array_equal(grid.z_axis[::-1], -grid.z_axis)
+    assert np.array_equal(grid.t_axis[::-1], -grid.t_axis)
+
+
+@pytest.mark.parametrize("n, eta, points", [(0, 0.0, 512), (1, 0.7, 512),
+                                            (4, 1.3, 257), (3, 2.3, 200)])
+def test_sampled_field_has_exact_parity(n, eta, points):
+    # psi_n(-z, -t) = (-1)^n psi_n(z, t) holds bit for bit on the antisymmetric nodes
+    v = osc.sample_wavefunction(osc.OscillatorState(n, eta),
+                                osc.GridSpec.for_rapidity(eta, points)).values
+    assert np.array_equal(v[::-1, ::-1], (-1) ** n * v)
+
+
 def test_top_excitation_at_large_rapidity_is_finite():
     # H_30 overflowing against an underflowed Gaussian gave 231 842 NaNs
     with np.errstate(over="raise", invalid="raise"):
@@ -133,6 +150,17 @@ def test_excitation_cap_is_checked_on_the_state():
 # ---------------------------------------------------------------------------
 # quadrature built on the kernel
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, eta", [(0, 0.0), (3, 1.2), (7, -0.4)])
+def test_normalization_is_the_self_overlap(n, eta):
+    state = osc.OscillatorState(n, eta)
+    for grid in (osc.GridSpec.for_rapidity(eta, 300), osc.GridSpec(-3.0, 4.0, -2.5, 2.0, 90, 70)):
+        q = osc.normalization(state, grid)
+        assert q.value == osc.overlap(state, state, grid)
+        assert q.tail_ok == grid.covers_tails(eta)
+    assert osc.normalization(state).value == osc.overlap(state, state,
+                                                         osc.GridSpec.for_rapidity(eta))
+
 
 def test_diagonal_overlap_equals_power_integral():
     grid = osc.GridSpec.for_rapidity(1.2, 300)
@@ -269,7 +297,7 @@ def test_non_square_window_transform_matches_closed_form(space, momentum):
 def test_central_mask_equals_meshgrid_mask():
     grid = osc.GridSpec(-9.0, 7.0, -5.0, 12.0, 40, 33)
     qz, q0 = grid.meshgrid()
-    bound = 4.0 * ms.marginal_sigma(0.6)
+    bound = 4.0 * math.sqrt(osc.marginal_variance(0.6))
     want = (np.abs(qz) <= bound) & (np.abs(q0) <= bound)
     assert np.array_equal(ms.central_region_mask(grid, 0.6), want)
 

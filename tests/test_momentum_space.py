@@ -67,6 +67,15 @@ def test_momentum_peak_value():
         == pytest.approx(PEAK_VALUE, abs=1e-15)
 
 
+def test_momentum_wavefunction_is_the_oscillator_kernel():
+    rng = np.random.default_rng(5)
+    for eta, (qz, q0) in zip((0.0, 0.9, -2.1), rng.normal(size=(3, 2))):
+        got = ms.momentum_wavefunction(eta, ms.MomentumPoint(qz, q0))
+        assert got == osc.boosted_wavefunction(osc.OscillatorState(0, eta), qz, q0)
+    with pytest.raises(ValueError, match=r"^momentum_wavefunction needs \|eta\| <= 350$"):
+        ms.momentum_wavefunction(400.0, ms.MomentumPoint(0.0, 0.0))
+
+
 def test_momentum_isotropic_at_rest():
     rng = np.random.default_rng(4)
     for qz, q0 in rng.normal(size=(20, 2)):
