@@ -75,6 +75,7 @@ def _report(args, params: dict, results, residuals: dict) -> None:
     """Write one record, or a list of records sharing their keys, as JSON or CSV.
 
     Every value is a Python scalar, list or dict; arrays arrive as .tolist().
+    An --output path that cannot be written is refused with ValueError.
     """
     if args.format == "json":
         doc = {"params": {"subcommand": args.subcommand, **params},
@@ -90,7 +91,10 @@ def _report(args, params: dict, results, residuals: dict) -> None:
         lines += [",".join(cell(record[k]) for k in header) for record in records]
         text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a usage error, not a failed check: main exits 2
+            raise ValueError(f"cannot write --output {args.output}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

@@ -52,10 +52,8 @@ from .parton import _check_rapidity
 GENERATOR_LABELS = ("J1", "J2", "J3", "K1", "K2", "K3", "N1", "N2")
 PLANAR_LABELS = ("L", "Px", "Py")
 
-#: Frobenius-projection coefficient of the contracted-generator limit:
-#: the boosted, rescaled J2 family converges to this multiple of N1 (and
-#: the partner family to the same multiple of N2).  Pinned numerically
-#: against the matrix-exponential oracle before the library was frozen.
+#: The boosted, rescaled J2 family converges to this multiple of N1, and the J1
+#: family to this multiple of N2: exact, since each family is built from its limit.
 CONTRACTION_LIMIT_COEFFICIENT = -0.5
 
 
@@ -120,8 +118,15 @@ def _closed_form(label: str) -> tuple:
 _CLOSED_FORMS = {label: _closed_form(label) for label in GENERATOR_MATRICES}
 _IDENTITY = _readonly(np.eye(4))
 
-#: contraction source -> (sign of the family, label of its limit)
-_CONTRACTION_SOURCES = {"J2": (1.0, "N1"), "J1": (-1.0, "N2")}
+
+def _contraction_family(start: np.ndarray, target: str) -> tuple:
+    limit = CONTRACTION_LIMIT_COEFFICIENT * GENERATOR_MATRICES[target]
+    return _readonly(limit), _readonly(start - limit)   # the family is start at eta = 0
+
+
+#: source -> (limit, direction): (-N1/2, (J2 + K1)/2) from J2, (-N2/2, (K2 - J1)/2) from J1
+_CONTRACTION_FAMILIES = {"J2": _contraction_family(GENERATOR_MATRICES["J2"], "N1"),
+                         "J1": _contraction_family(-GENERATOR_MATRICES["J1"], "N2")}
 
 
 @dataclass(frozen=True)
@@ -220,9 +225,8 @@ def matrix_exponential(a: np.ndarray) -> np.ndarray:
     """exp(a) of a general square matrix by scaling and squaring.
 
     The argument is scaled below norm 1/2, summed as a truncated power
-    series to convergence at double precision, and squared back up.  A
-    general utility (the planar E(2) elements use it); group_element
-    does not, because every Lorentz generator has an exact exponential.
+    series to convergence at double precision, and squared back up.  No
+    library code calls it; the tests use it on the planar E(2) generators.
     """
     a = np.asarray(a, dtype=complex)
     norm = float(np.abs(a).sum(axis=0).max())
@@ -272,41 +276,37 @@ def invariance_residual(elem: GroupElement, p: FourVector) -> float:
 
 def leaves_invariant(elem: GroupElement, p: FourVector, tol: float) -> bool:
     """True iff elem moves p by at most tol in the max norm."""
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     return invariance_residual(elem, p) <= tol
 
 
 def contracted_generator(eta: float, source: str = "J2") -> np.ndarray:
-    """Boosted, rescaled transverse rotation generator.
+    """Boosted, rescaled transverse rotation generator, in closed form.
 
-    For source J2 returns exp(-eta) B J2 B^{-1} and for source J1 the
-    same conjugation of J1 with an overall minus sign, where B is the
-    z boost of rapidity eta.  The boost is oriented so that the family
-    has a large-eta limit inside the massless little-group algebra: the
-    two limits are CONTRACTION_LIMIT_COEFFICIENT times N1 and N2, and
-    the distance to the limit decays like exp(-2 eta).
+    exp(-eta) B J2 B^{-1} for source J2 and minus the same conjugation of
+    J1 for source J1, B the z boost of rapidity eta.  With e = exp(-2 eta),
+    J2 gives 1/2 [(1 + e) J2 - (1 - e) K1] = -N1/2 + e (J2 + K1)/2 and J1
+    gives -1/2 [(1 + e) J1 + (1 - e) K2] = -N2/2 + e (K2 - J1)/2: the limits
+    are CONTRACTION_LIMIT_COEFFICIENT times N1 and N2, in the massless
+    little-group algebra, and the distance to them decays like exp(-2 eta).
     """
     eta = float(eta)
     if eta < 0:
         raise ValueError("contraction rapidity must be nonnegative")
     _check_rapidity(eta, "contracted_generator")
-    sign, _ = _lookup(_CONTRACTION_SOURCES, source, "contraction source")
-    boost = group_element("K3", eta).matrix
-    boost_inv = group_element("K3", -eta).matrix
-    return sign * math.exp(-eta) * (boost @ GENERATOR_MATRICES[source] @ boost_inv)
+    limit, direction = _lookup(_CONTRACTION_FAMILIES, source, "contraction source")
+    return limit + math.exp(-2.0 * eta) * direction
 
 
 def contraction_limit(source: str = "J2") -> np.ndarray:
     """Large-rapidity limit matrix of contracted_generator."""
-    _, target = _lookup(_CONTRACTION_SOURCES, source, "contraction source")
-    return CONTRACTION_LIMIT_COEFFICIENT * GENERATOR_MATRICES[target]
+    return _lookup(_CONTRACTION_FAMILIES, source, "contraction source")[0].copy()
 
 
 def contraction_residual(eta: float, source: str = "J2") -> float:
     """Frobenius distance from contracted_generator(eta) to its limit."""
-    return float(np.linalg.norm(contracted_generator(eta, source)
-                                - contraction_limit(source)))
+    return float(np.linalg.norm(contracted_generator(eta, source) - contraction_limit(source)))
 
 
 def structure_constants(basis: list[np.ndarray]) -> np.ndarray:

@@ -335,6 +335,25 @@ def test_out_of_range_argument_is_refused(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", ""], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_is_refused(capsys, tmp_path, target):
+    path = tmp_path / target
+    code = main(["coherence", "--energy", "900", "--output", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err and err.count("\n") == 1
+
+
+def test_broken_pipe_on_stdout_exits_0(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["coherence", "--energy", "900"]) == 0
+
+
 def test_refusal_has_no_traceback_in_a_fresh_process():
     proc = subprocess.run(
         [sys.executable, "-m", "littlegroup", "contract", "--eta-max", "1e3"],

@@ -373,10 +373,11 @@ def test_boost_moves_rest_momentum():
     assert not la.leaves_invariant(elem, la.FourVector(0, 0, 0, 1.0), 1e-9)
 
 
-def test_leaves_invariant_needs_positive_tolerance():
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_leaves_invariant_needs_positive_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive"):
         la.leaves_invariant(la.group_element("J1", 0.0),
-                            la.FourVector(0, 0, 0, 1.0), 0.0)
+                            la.FourVector(0, 0, 0, 1.0), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -413,12 +414,50 @@ def test_contraction_limit_coefficient(source, target):
     assert np.linalg.norm(got - coeff * tgt) <= 1e-8
 
 
+def exact_boost_contraction(eta, source):
+    """Literal conjugation by the z boost written with math.cosh and math.sinh."""
+    boost = np.eye(4)
+    boost[2:, 2:] = [[math.cosh(eta), math.sinh(eta)], [math.sinh(eta), math.cosh(eta)]]
+    boost_inv = boost.copy()
+    boost_inv[2, 3] = boost_inv[3, 2] = -math.sinh(eta)
+    j = la.GENERATOR_MATRICES["J2"] if source == "J2" else -la.GENERATOR_MATRICES["J1"]
+    return math.exp(-eta) * (boost @ j @ boost_inv)
+
+
 @pytest.mark.parametrize("source", ["J2", "J1"])
 def test_contraction_matches_brute_force_oracle(source):
-    for eta in (0.0, 1.5, 6.0):
+    # scipy's expm of eta K3 is itself off by up to ~2e-14 relative (scipy 1.17:
+    # 1.1e-14 absolute at eta = 8.45), so 1e-15 is held against the cosh/sinh boost
+    for eta in np.linspace(0.0, 12.0, 1201).tolist():
         mine = la.contracted_generator(eta, source)
-        oracle = brute_force_contraction(eta, source)
-        assert np.abs(mine - oracle).max() < 1e-12
+        assert np.abs(mine - exact_boost_contraction(eta, source)).max() <= 1e-15
+        assert np.abs(mine - brute_force_contraction(eta, source)).max() <= 1e-13
+
+
+def test_contraction_closed_form_is_the_symbolic_conjugation():
+    import sympy as sp
+    eta = sp.symbols("eta", real=True)
+    g = {label: sp.Matrix(la.GENERATOR_MATRICES[label].tolist()).applyfunc(sp.nsimplify)
+         for label in ("J1", "J2", "K1", "K2", "K3")}
+    boost = (-sp.I * eta * g["K3"]).exp()   # its inverse is the boost at -eta
+    e = sp.exp(-2 * eta)
+    for source, j, closed in (
+            ("J2", g["J2"], ((1 + e) * g["J2"] - (1 - e) * g["K1"]) / 2),
+            ("J1", -g["J1"], -((1 + e) * g["J1"] + (1 - e) * g["K2"]) / 2)):
+        conjugated = sp.exp(-eta) * boost * j * boost.subs(eta, -eta)
+        assert sp.simplify(conjugated - closed) == sp.zeros(4, 4)
+        for x in (0.0, 0.7, 3.0):   # and the library is this closed form
+            expected = np.array(closed.subs(eta, x).evalf(), dtype=complex)
+            assert np.abs(la.contracted_generator(x, source) - expected).max() <= 1e-15
+
+
+@pytest.mark.parametrize("source", ["J2", "J1"])
+def test_contraction_residual_rate_up_to_the_cancellation_floor(source):
+    # subtracting the limit leaves ~1e-16 / exp(-2 eta) of relative rounding,
+    # which stays below 1e-6 through eta = 11
+    for eta in np.linspace(0.0, 11.0, 2001).tolist():
+        scaled = la.contraction_residual(eta, source) * math.exp(2.0 * eta)
+        assert abs(scaled - 1.0) <= 1e-6
 
 
 @pytest.mark.parametrize("source", ["J2", "J1"])
