@@ -23,7 +23,10 @@ passes _LOG_FLUSH once |z - t| > 2 sqrt(-_LOG_FLUSH) e^-eta (|z + t| for
 eta < 0).  Each block evaluates only the columns within that reach of
 the diagonal; a grid starts as zeros unless that band spans every row, so
 every skipped sample is one the kernel would flush to 0 and the array
-equals a full evaluation.  normalization is a state's self-overlap.
+equals a full evaluation.  On a window centred on 0 the axes are exactly
+antisymmetric and psi_n(-z, -t) = (-1)^n psi_n(z, t) holds bit for bit, so
+only the first ceil(n_z/2) rows are evaluated and the others are their
+reflection, negated for odd n.  normalization is a state's self-overlap.
 The trapezoidal rule's default window, half-width 6 exp(|eta|), covers the
 tails, but its 512 points leave v unresolved from |eta| ~ 1.8 on, and
 tail_ok checks only the window: normalization(OscillatorState(0, 4))
@@ -188,11 +191,13 @@ def relative_coordinates(pair: QuarkPairCoordinates
 def hermite(n: int, x) -> np.ndarray | float:
     """Physicists' Hermite polynomial H_n by the two-term recurrence.
 
-    n is capped at 30 to guard against coefficient overflow.  Refuses an x
-    where H_n(x) is not finite: a NaN, or an |x| whose H_n overflows.
+    n is capped at 30 to guard against coefficient overflow.  Refuses a
+    non-finite x at every n, and an |x| whose H_n overflows.
     """
     _check_excitation(n, "hermite order")
     arr = np.asarray(x, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("hermite needs a finite x")
     h_prev = np.ones_like(arr)
     if n == 0:
         return h_prev if arr.ndim else float(h_prev)
@@ -211,7 +216,12 @@ def lightcone(z, t) -> LightConePoint:
 
 
 def lightcone_inverse(p: LightConePoint) -> tuple[float, float]:
-    return (p.u + p.v) / SQRT2, (p.u - p.v) / SQRT2
+    """Map light-cone (u, v) back to (z, t); refuses a point whose z or t is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        z, t = (p.u + p.v) / SQRT2, (p.u - p.v) / SQRT2
+    if not (np.isfinite(z).all() and np.isfinite(t).all()):
+        raise ValueError("lightcone_inverse needs a point whose z and t are finite")
+    return z, t
 
 
 def boost_lightcone(eta: float, p: LightConePoint) -> LightConePoint:
@@ -281,8 +291,8 @@ def _row_blocks(grid: GridSpec) -> list[slice]:
 
 
 def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice, slice]]:
-    """Row blocks of the grid, whose z axis is z, each with the columns that
-    can hold a non-zero sample.
+    """Row blocks over z, the grid's z axis or its first rows, each with the
+    columns that can hold a non-zero sample.
 
     The narrow light-cone coordinate alone flushes the Gaussian once its
     square passes -_LOG_FLUSH, that is once |z - sign(eta) t| exceeds
@@ -304,20 +314,25 @@ def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice,
         return math.floor(max(-1.0, min(grid.n_t, (x - grid.t_min) / grid.dt)))
 
     blocks = []
-    for i in range(0, grid.n_z, rows):
-        first, last = float(z[i]), float(z[min(i + rows, grid.n_z) - 1])
+    for i in range(0, len(z), rows):
+        stop = min(i + rows, len(z))
+        first, last = float(z[i]), float(z[stop - 1])
         if eta < 0:  # the band follows t = -z
             first, last = -last, -first
         cols = slice(max(column(first - reach) - 2, 0), column(last + reach) + 3)
-        blocks.append((slice(i, i + rows), cols))
+        blocks.append((slice(i, stop), cols))
     return blocks
 
 
 def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
     """psi_n on the grid, evaluated block by block on the band of _band_blocks;
-    every sample outside it is one _psi would flush to 0."""
+    every sample outside it is one _psi would flush to 0.  On a window centred
+    on 0 the rows past the first ceil(n_z/2) are their (-1)^n reflection."""
     _check_reach(max(-grid.z_min, grid.z_max), max(-grid.t_min, grid.t_max), eta)
     z, t = grid.z_axis, grid.t_axis
+    centred = grid.z_min == -grid.z_max and grid.t_min == -grid.t_max
+    if centred:
+        z = z[:(grid.n_z + 1) // 2]
     blocks = _band_blocks(eta, grid, z)
     # zero-fill only when some block leaves columns of its rows unwritten
     full = all(cols.start == 0 and cols.stop >= grid.n_t for _, cols in blocks)
@@ -325,6 +340,9 @@ def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
     for rows, cols in blocks:
         p = lightcone(z[rows, None], t[cols])
         _psi(n, eta, p.u, p.v, out=values[rows, cols])
+    if centred:  # exact on the antisymmetric nodes, but for the sign of a 0
+        half = len(z)
+        np.multiply(values[grid.n_z - half - 1::-1, ::-1], (-1.0) ** n, out=values[half:])
     return values
 
 

@@ -69,14 +69,17 @@ def _check_window(z_min: float, z_max: float, t_min: float, t_max: float,
 
 
 def _check_reach(z: float, t: float, eta: float) -> None:
-    """Refuse points out to |z| and |t| where (|z| + |t|) e^|eta| overflows;
-    in a momentum window, (q_z, q_0) stand for (z, t).
+    """Refuse a NaN or infinite |z| or |t|, and points out to |z| and |t| where
+    (|z| + |t|) e^|eta| overflows; in a momentum window, (q_z, q_0) stand for (z, t).
 
     The oscillator kernel scales |u|, |v| <= (|z| + |t|)/sqrt2 by up to
     e^|eta| and adds the two: while this stays finite, so does every
     product before its square.  eta must already pass _check_rapidity.
     """
-    corner = abs(float(z)) + abs(float(t))
+    z, t = float(z), float(t)
+    if not (math.isfinite(z) and math.isfinite(t)):
+        raise ValueError("points must be finite")
+    corner = abs(z) + abs(t)
     if not math.isfinite(2.0 * corner * math.exp(abs(eta))):
         raise ValueError("window too wide for this rapidity: "
                          "(|z| + |t|) exp(|eta|) overflows")

@@ -62,6 +62,10 @@ window = st.tuples(st.floats(-2.0, 1.5), st.floats(0.05, 2.0))
 @example(4, 2.5, (-1.0, 2.0), (-1.0, 2.0), 601, 601)     # rows per block do not divide n_z
 @example(2, -3.0, (-1.4, 1.9), (-0.3, 1.1), 211, 97)     # the anti-diagonal band
 @example(1, 3.0, (0.5, 0.4), (-1.5, 0.4), 40, 40)        # the band misses the window
+# windows centred on 0, of which half the rows are evaluated; three above are centred too
+@example(29, -12.0, (-1.0, 2.0), (-1.0, 2.0), 300, 17)   # even rows, anti-diagonal band
+@example(3, -1.3, (-1.0, 2.0), (-0.5, 1.0), 511, 64)     # odd rows: the centre row is evaluated
+@example(1, 0.7, (-1.0, 2.0), (-1.0, 2.0), 16, 33)       # one block
 def test_banded_sample_equals_full_axes(n, eta, z_window, t_window, n_z, n_t):
     half = osc.TAIL_HALF_WIDTH_FACTOR * math.exp(abs(eta))
     (z_lo, z_len), (t_lo, t_len) = z_window, t_window
@@ -90,14 +94,41 @@ def test_extreme_window_bands_stay_finite(n, eta, bounds):
                                                   (1.0, False), (-1.0, False)])
 def test_sample_is_zero_filled_only_where_the_band_misses_columns(monkeypatch, eta,
                                                                  band_spans_rows):
-    grid = osc.GridSpec.for_rapidity(eta)
-    blocks = osc._band_blocks(eta, grid, grid.z_axis)
-    assert all(c.start == 0 and c.stop >= grid.n_t for _, c in blocks) == band_spans_rows
-    # np.empty hands out NaN here, so a sample left unwritten cannot pass as 0
-    monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: np.full(shape, np.nan))
-    got = osc._sample_grid(2, eta, grid)
-    monkeypatch.undo()
-    assert np.array_equal(got, full_axes_reference(2, eta, grid))
+    window = osc.GridSpec.for_rapidity(eta)
+    for n, n_z in [(2, 512), (3, 511)]:  # odd n and rows: the centre row is not reflected
+        grid = osc.GridSpec(window.z_min, window.z_max, window.t_min, window.t_max,
+                            n_z, window.n_t)
+        blocks = osc._band_blocks(eta, grid, grid.z_axis[:(n_z + 1) // 2])  # rows evaluated
+        assert all(c.start == 0 and c.stop >= grid.n_t for _, c in blocks) == band_spans_rows
+        # np.empty hands out NaN here, so a sample left unwritten, or a reflected
+        # row left out, cannot pass as 0
+        monkeypatch.setattr(np, "empty", lambda shape, *args, **kwargs: np.full(shape, np.nan))
+        got = osc._sample_grid(n, eta, grid)
+        monkeypatch.undo()
+        assert np.array_equal(got, full_axes_reference(n, eta, grid))
+
+
+def test_centred_sample_evaluates_half_the_rows(monkeypatch):
+    grid = osc.GridSpec(-6.0, 6.0, -6.0, 6.0, 511, 64)
+    rows = []
+    kernel = osc._psi
+
+    def counting(n, eta, u, v, out=None):
+        rows.append(np.shape(u)[0])
+        return kernel(n, eta, u, v, out=out)
+    monkeypatch.setattr(osc, "_psi", counting)
+    osc._sample_grid(1, 0.4, grid)
+    assert sum(rows) == 256
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("bounds", [
+    (-6.0, math.nextafter(6.0, 7.0), -6.0, 6.0),
+    (-6.0, 6.0, math.nextafter(-6.0, -7.0), 6.0),
+])
+def test_window_off_centre_by_one_ulp_is_sampled_in_full(n, bounds):
+    grid = osc.GridSpec(*bounds, 257, 130)
+    assert np.array_equal(osc._sample_grid(n, 0.9, grid), full_axes_reference(n, 0.9, grid))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 20, 29, 30])

@@ -70,6 +70,14 @@ def test_hermite_against_scipy():
         assert osc.hermite(n, x) == pytest.approx(eval_hermite(n, x), rel=1e-10)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_hermite_refuses_a_non_finite_x_at_order_zero(x):
+    with pytest.raises(ValueError, match="finite x"):
+        osc.hermite(0, x)
+    with pytest.raises(ValueError, match="finite x"):
+        osc.hermite(0, np.array([0.5, x]))
+
+
 def test_hermite_order_guard():
     with pytest.raises(ValueError):
         osc.hermite(31, 0.0)
@@ -92,6 +100,19 @@ def test_lightcone_round_trip():
     for z, t in rng.normal(size=(50, 2)) * 4:
         back = osc.lightcone_inverse(osc.lightcone(z, t))
         assert back == pytest.approx((z, t), abs=1e-14)
+
+
+def test_lightcone_inverse_refuses_a_point_whose_z_overflows():
+    # (u + v)/sqrt2 read inf here, with t = 0.0
+    with pytest.raises(ValueError, match="finite"):
+        osc.lightcone_inverse(osc.LightConePoint(1e308, 1e308))
+
+
+def test_nan_point_is_refused_as_not_finite():
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        osc.boosted_wavefunction(osc.OscillatorState(1), math.nan, 0.0)
+    with pytest.raises(ValueError, match="^points must be finite$"):
+        osc.boost_lightcone(1.0, osc.LightConePoint(math.nan, 0.0))
 
 
 def test_boost_lightcone_identity_and_product():
