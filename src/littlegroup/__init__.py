@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 #: layer module -> the public names the package re-exports from it
 _LAYERS = {
     "lorentz_algebra": (
-        "CONTRACTION_LIMIT_COEFFICIENT", "FourVector", "Generator", "GroupElement",
+        "CONTRACTION_LIMIT_COEFFICIENT", "Generator", "GroupElement",
         "PlanarGenerator", "commutator", "contracted_generator", "contraction_limit",
         "contraction_residual", "generator", "group_element", "invariance_residual",
         "leaves_invariant", "matrix_exponential", "planar_commutation_check",
@@ -43,7 +43,7 @@ _LAYERS = {
         "sample_wavefunction",
     ),
     "parton": (
-        "DEFAULT_PROTON_MASS_GEV", "BeamSpec", "coherence_ratio",
+        "DEFAULT_PROTON_MASS_GEV", "BeamSpec", "FourVector", "coherence_ratio",
         "interaction_time_contraction", "marginal_variance", "period_dilation",
         "rapidity_from_beam",
     ),

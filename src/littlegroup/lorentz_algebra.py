@@ -43,11 +43,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .parton import _check_rapidity
+from .parton import FourVector, _check_rapidity
 
 GENERATOR_LABELS = ("J1", "J2", "J3", "K1", "K2", "K3", "N1", "N2")
 PLANAR_LABELS = ("L", "Px", "Py")
@@ -143,42 +143,6 @@ class PlanarGenerator:
 
     label: str
     matrix: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class FourVector:
-    """Event or momentum (x, y, z, t), natural units."""
-
-    x: float
-    y: float
-    z: float
-    t: float
-
-    def interval(self) -> float:
-        """Minkowski form x^2 + y^2 + z^2 - t^2 (spacelike positive)."""
-        return self.x**2 + self.y**2 + self.z**2 - self.t**2
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z, self.t], dtype=float)
-
-    @classmethod
-    def from_array(cls, a: Iterable[float]) -> "FourVector":
-        x, y, z, t = (float(c) for c in a)
-        return cls(x, y, z, t)
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.x + other.x, self.y + other.y,
-                          self.z + other.z, self.t + other.t)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.x - other.x, self.y - other.y,
-                          self.z - other.z, self.t - other.t)
-
-    def __mul__(self, scale: float) -> "FourVector":
-        s = float(scale)
-        return FourVector(s * self.x, s * self.y, s * self.z, s * self.t)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lorentz_algebra import FourVector
 from .oscillator import (
     MOMENTUM_ENERGY,
     SPACE_TIME,
@@ -43,11 +42,10 @@ from .oscillator import (
     OscillatorState,
     ScalarField,
     _centred,
-    _check_rapidity,
     _sample_grid,
     boosted_wavefunction,
-    marginal_variance,
 )
+from .parton import FourVector, _check_rapidity, marginal_variance
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,10 @@ def momentum_wavefunction(eta: float, q: MomentumPoint) -> float:
 
 
 def sample_momentum_wavefunction(eta: float, grid: GridSpec) -> ScalarField:
-    """Closed-form momentum wave function sampled on a (q_z, q_0) grid."""
+    """Closed-form momentum wave function sampled on a (q_z, q_0) grid, tail-guarded."""
     state = OscillatorState(0, eta)
-    return ScalarField(grid, _sample_grid(0, eta, grid), state, MOMENTUM_ENERGY)
+    return ScalarField(grid, _sample_grid(0, eta, grid), state, MOMENTUM_ENERGY,
+                       tail_ok=grid.covers_tails(eta))
 
 
 #: field points per column block of the z fold; the default 512^2 grid is one block

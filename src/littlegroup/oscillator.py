@@ -42,9 +42,8 @@ from typing import Optional
 
 import numpy as np
 
-from .lorentz_algebra import FourVector
 from .parton import MAX_EXCITATION, marginal_variance  # noqa: F401  (re-exported)
-from .parton import _check_excitation, _check_rapidity, _check_reach, _check_window
+from .parton import FourVector, _check_excitation, _check_rapidity, _check_reach, _check_window
 
 SQRT2 = math.sqrt(2.0)
 

@@ -13,9 +13,10 @@ counterpart, the longitudinal variance cosh(2 eta)/2 of the ground
 state, is defined here because it needs only math; oscillator
 re-exports it.
 
-It also holds the library's domain rules, the checkers every layer and
-the CLI call: they need no numpy, so the CLI refuses an argument before
-it loads a numeric layer.  A refusal is a ValueError.
+This base layer, which every other imports, needs no numpy.  It holds
+FourVector, the one type the little-group algebra and the wave-function
+layers share, and the domain rules every layer and the CLI call, so the
+CLI refuses an argument before it loads a numeric layer (a ValueError).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterable
 
 #: Default beam-particle mass in GeV (proton).
 DEFAULT_PROTON_MASS_GEV = 0.938
@@ -83,6 +85,43 @@ def _check_reach(z: float, t: float, eta: float) -> None:
     if not math.isfinite(2.0 * corner * math.exp(abs(eta))):
         raise ValueError("window too wide for this rapidity: "
                          "(|z| + |t|) exp(|eta|) overflows")
+
+
+@dataclass(frozen=True)
+class FourVector:
+    """Event or momentum (x, y, z, t), natural units."""
+
+    x: float
+    y: float
+    z: float
+    t: float
+
+    def interval(self) -> float:
+        """Minkowski form x^2 + y^2 + z^2 - t^2 (spacelike positive)."""
+        return self.x**2 + self.y**2 + self.z**2 - self.t**2
+
+    def as_array(self) -> np.ndarray:
+        import numpy as np  # on call: importing this layer loads no numpy
+        return np.array([self.x, self.y, self.z, self.t], dtype=float)
+
+    @classmethod
+    def from_array(cls, a: Iterable[float]) -> "FourVector":
+        x, y, z, t = (float(c) for c in a)
+        return cls(x, y, z, t)
+
+    def __add__(self, other: "FourVector") -> "FourVector":
+        return FourVector(self.x + other.x, self.y + other.y,
+                          self.z + other.z, self.t + other.t)
+
+    def __sub__(self, other: "FourVector") -> "FourVector":
+        return FourVector(self.x - other.x, self.y - other.y,
+                          self.z - other.z, self.t - other.t)
+
+    def __mul__(self, scale: float) -> "FourVector":
+        s = float(scale)
+        return FourVector(s * self.x, s * self.y, s * self.z, s * self.t)
+
+    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)

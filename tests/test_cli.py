@@ -468,14 +468,22 @@ def test_bare_package_import_loads_no_layer():
         [], "import littlegroup; print(littlegroup.coherence_ratio(0.0))")
     assert (code, out, err) == (0, "1.0\n", "")
     assert "numpy" not in loaded and layers_in(loaded) == {"parton"}
+    code, out, err, loaded = run_fresh([], "import littlegroup; littlegroup.FourVector")
+    assert (code, out, err) == (0, "", "")
+    assert "numpy" not in loaded and layers_in(loaded) == {"parton"}
+
+
+def test_wave_function_layers_load_no_algebra():
+    code, out, err, loaded = run_fresh([], "import littlegroup.momentum_space")
+    assert (code, out, err) == (0, "", "")
+    assert layers_in(loaded) == {"parton", "oscillator", "momentum_space"}
 
 
 @pytest.mark.parametrize("argv,layers", [
     (["contract", "--steps", "2"], {"cli", "parton", "lorentz_algebra"}),
     (["algebra-check"], {"cli", "parton", "lorentz_algebra"}),
-    (["squeeze-plot", "--eta", "0"], {"cli", "parton", "lorentz_algebra", "oscillator"}),
-    (["fourier-check", "--eta", "0"],
-     {"cli", "parton", "lorentz_algebra", "oscillator", "momentum_space"}),
+    (["squeeze-plot", "--eta", "0"], {"cli", "parton", "oscillator"}),
+    (["fourier-check", "--eta", "0"], {"cli", "parton", "oscillator", "momentum_space"}),
 ])
 def test_each_command_loads_only_its_layers(argv, layers):
     code, _, err, loaded = run_fresh(argv)

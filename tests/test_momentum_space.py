@@ -172,6 +172,12 @@ def test_transform_propagates_tail_warning():
     assert not mom.tail_ok
 
 
+def test_momentum_sample_flags_a_window_short_of_the_tails():
+    narrow = osc.GridSpec(-3, 3, -3, 3, 64, 64)
+    assert not ms.sample_momentum_wavefunction(0.0, narrow).tail_ok
+    assert ms.sample_momentum_wavefunction(1.0, osc.GridSpec.for_rapidity(1.0, 64)).tail_ok
+
+
 def test_momentum_widths_mirror_space_widths():
     # both representations concentrate along their positive light-cone
     # axes with the same anisotropy

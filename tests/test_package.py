@@ -11,7 +11,7 @@ import littlegroup
 
 #: the names the package has always re-exported, by the layer they come from
 EXPORTED = {
-    "lorentz_algebra": """CONTRACTION_LIMIT_COEFFICIENT FourVector Generator GroupElement
+    "lorentz_algebra": """CONTRACTION_LIMIT_COEFFICIENT Generator GroupElement
         PlanarGenerator commutator contracted_generator contraction_limit
         contraction_residual generator group_element invariance_residual
         leaves_invariant matrix_exponential planar_commutation_check planar_generator
@@ -23,7 +23,7 @@ EXPORTED = {
         degeneracy eigenvalue_check hermite lightcone lightcone_inverse
         lightcone_widths marginal_variance normalization overlap power_integral
         relative_coordinates rest_wavefunction sample_wavefunction""",
-    "parton": """DEFAULT_PROTON_MASS_GEV BeamSpec coherence_ratio
+    "parton": """DEFAULT_PROTON_MASS_GEV BeamSpec FourVector coherence_ratio
         interaction_time_contraction period_dilation rapidity_from_beam""",
 }
 EXPORTED = {layer: names.split() for layer, names in EXPORTED.items()}
@@ -42,6 +42,13 @@ def test_every_name_is_the_layer_object(layer):
     assert getattr(littlegroup, layer) is module
     for name in EXPORTED[layer]:
         assert getattr(littlegroup, name) is getattr(module, name), name
+
+
+def test_algebra_re_exports_the_base_layer_four_vector():
+    import littlegroup.lorentz_algebra
+    import littlegroup.parton
+
+    assert littlegroup.lorentz_algebra.FourVector is littlegroup.parton.FourVector
 
 
 def test_package_is_a_plain_module():
