@@ -186,25 +186,27 @@ def commutator(a, b) -> np.ndarray:
 
 
 def matrix_exponential(a: np.ndarray) -> np.ndarray:
-    """exp(a) of a general square matrix by scaling and squaring.
+    """exp(a) of a general square matrix by scaling and squaring; ValueError if not finite.
 
     The argument is scaled below norm 1/2, summed as a truncated power
     series to convergence at double precision, and squared back up.  No
     library code calls it; the tests use it on the planar E(2) generators.
     """
     a = np.asarray(a, dtype=complex)
-    norm = float(np.abs(a).sum(axis=0).max())
-    squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 0.5 else 0
-    scaled = a / (2.0**squarings)
-    result = np.eye(a.shape[0], dtype=complex)
-    term = np.eye(a.shape[0], dtype=complex)
-    for k in range(1, 30):
-        term = term @ scaled / k
-        result = result + term
-        if float(np.abs(term).max()) < 1e-18:
-            break
-    for _ in range(squarings):
-        result = result @ result
+    with np.errstate(all="ignore"):  # refused below
+        norm = float(np.abs(a).sum(axis=0).max())
+        squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if 0.5 < norm < math.inf else 0
+        scaled = a / (2.0**squarings)
+        result = term = np.eye(a.shape[0], dtype=complex)
+        for k in range(1, 30):
+            term = term @ scaled / k
+            result = result + term
+            if float(np.abs(term).max()) < 1e-18:
+                break
+        for _ in range(squarings):
+            result = result @ result
+    if not np.isfinite(result).all():  # a NaN or inf entry makes it so, too
+        raise ValueError("matrix_exponential needs a finite matrix whose exponential is finite")
     return result
 
 
@@ -276,14 +278,18 @@ def contraction_residual(eta: float, source: str = "J2") -> float:
 def structure_constants(basis: list[np.ndarray]) -> np.ndarray:
     """c[i, j, k] with [A_i, A_j] = sum_k c[i, j, k] A_k.
 
-    Coefficients are extracted by Frobenius projection, so the basis
-    elements must be mutually orthogonal under <A, B> = tr(A^H B).
+    Coefficients are extracted by Frobenius projection: a basis that is
+    empty or not nonzero and orthogonal under <A, B> = tr(A^H B) is refused.
     """
     b = np.asarray(basis, dtype=complex)
+    gram = np.einsum("iab,jab->ij", b.conj(), b) if b.ndim == 3 and len(b) else np.zeros((1, 1))
+    norms = gram.diagonal().real
+    if not ((norms > 0).all() and np.abs(gram - np.diag(norms)).max() <= 1e-12 * norms.max()):
+        raise ValueError("structure_constants: the basis must be nonempty, nonzero and orthogonal")
     products = np.einsum("iab,jbc->ijac", b, b)
     brackets = products - products.transpose(1, 0, 2, 3)
     projections = np.einsum("kab,ijab->ijk", b.conj(), brackets)
-    return projections / np.einsum("kab,kab->k", b.conj(), b)
+    return projections / gram.diagonal()
 
 
 def _lorentz_rows() -> list[tuple]:
@@ -333,11 +339,12 @@ def relation_residuals(gens: Mapping[str, np.ndarray] | None = None
     """Max entrywise residual of every bracket relation of the algebra.
 
     An alternative generator mapping can be supplied to run the suite
-    against perturbed matrices (negative-control self test).
+    against perturbed matrices (negative-control self test); a missing label is refused.
     """
-    stack = _LORENTZ_STACK if gens is None else _stack(_LORENTZ_BRACKETS, gens)
-    gens = GENERATOR_MATRICES if gens is None else gens
-    rows = _bracket_residuals(_LORENTZ_BRACKETS, stack)
+    gens, stack = (GENERATOR_MATRICES, _LORENTZ_STACK) if gens is None else (gens, None)
+    if missing := [label for label in GENERATOR_LABELS if label not in gens]:
+        raise ValueError(f"relation_residuals: the generator mapping lacks {', '.join(missing)}")
+    rows = _bracket_residuals(_LORENTZ_BRACKETS, stack or _stack(_LORENTZ_BRACKETS, gens))
     defined = [("N1 = K1 - J2", gens["N1"] - (gens["K1"] - gens["J2"])),
                ("N2 = K2 + J1", gens["N2"] - (gens["K2"] + gens["J1"]))]
     return (rows[:_EPSILON_ROWS] + [(name, float(np.abs(d).max())) for name, d in defined]

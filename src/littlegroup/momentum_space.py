@@ -44,6 +44,7 @@ from .oscillator import (
     _centred,
     _sample_grid,
     boosted_wavefunction,
+    lightcone,
 )
 from .parton import FourVector, _check_rapidity, marginal_variance
 
@@ -57,11 +58,11 @@ class MomentumPoint:
 
     @property
     def q_u(self) -> float:
-        return (self.q_z + self.q_0) / SQRT2
+        return lightcone(self.q_z, self.q_0).u
 
     @property
     def q_v(self) -> float:
-        return (self.q_z - self.q_0) / SQRT2
+        return lightcone(self.q_z, self.q_0).v
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,10 @@ v = (z - t)/sqrt(2) as the area-preserving squeeze u -> exp(eta) u,
 v -> exp(-eta) v, which turns the circular rest-frame distribution into
 an ellipse elongated along the positive u axis.
 
-One kernel, _psi, evaluates every wave function at light-cone (u, v): it
-forms the rest-frame x = (e^-eta u + e^eta v)/sqrt2, y = (e^-eta u -
-e^eta v)/sqrt2 and runs the Hermite recurrence with the Gaussian folded in
-(Bunck, BIT 49 (2009) 281), so nothing overflows.  Grids are filled in row
+One kernel, _psi, evaluates every wave function at the grid's (z, t): it
+rotates them to (u, v), forms x = (e^-eta u + e^eta v)/sqrt2, y = (e^-eta
+u - e^eta v)/sqrt2 and runs hermite's recurrence with the Gaussian folded
+in (Bunck, BIT 49 (2009) 281), so nothing overflows.  Grids are filled in row
 blocks of about BLOCK_POINTS points from their broadcast axes, with no
 meshgrid, and only on the band the squeeze leaves non-zero: for eta >= 0
 the exponent -(x^2 + y^2)/2 is at most -(e^eta v/sqrt2)^2, which alone
@@ -188,7 +188,7 @@ def relative_coordinates(pair: QuarkPairCoordinates
 
 
 def hermite(n: int, x) -> np.ndarray | float:
-    """Physicists' Hermite polynomial H_n by the two-term recurrence.
+    """Physicists' Hermite H_n by _recurrence at c = 2; 2^n M_n would round otherwise at tiny x.
 
     n is capped at 30 to guard against coefficient overflow.  Refuses a
     non-finite x at every n, and an |x| whose H_n overflows.
@@ -197,30 +197,31 @@ def hermite(n: int, x) -> np.ndarray | float:
     arr = np.asarray(x, dtype=float)
     if not np.isfinite(arr).all():
         raise ValueError("hermite needs a finite x")
-    h_prev = np.ones_like(arr)
-    if n == 0:
-        return h_prev if arr.ndim else float(h_prev)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        h = 2.0 * arr
-        for k in range(1, n):
-            h_prev, h = h, 2.0 * arr * h - 2.0 * k * h_prev
+        h = _recurrence(n, 2.0 * arr, 2.0, np.ones_like(arr), np.empty_like(arr))
     if not np.isfinite(h).all():
         raise ValueError(f"hermite H_{n}(x) is not finite at some x")
     return h if arr.ndim else float(h)
 
 
+def _rotate(a, b):
+    """((a + b)/sqrt2, (a - b)/sqrt2): (z, t) to (u, v), and back: the map is its own inverse."""
+    return (a + b) / SQRT2, (a - b) / SQRT2
+
+
 def lightcone(z, t) -> LightConePoint:
-    """Map (z, t) to light-cone coordinates u = (z+t)/sqrt2, v = (z-t)/sqrt2."""
-    return LightConePoint((z + t) / SQRT2, (z - t) / SQRT2)
+    """Map (z, t) to light-cone u = (z+t)/sqrt2, v = (z-t)/sqrt2; refuses a non-finite u or v."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        p = LightConePoint(*_rotate(z, t))
+    if not (np.isfinite(p.u).all() and np.isfinite(p.v).all()):
+        raise ValueError("the light-cone rotation of this point is not finite")
+    return p
 
 
 def lightcone_inverse(p: LightConePoint) -> tuple[float, float]:
     """Map light-cone (u, v) back to (z, t); refuses a point whose z or t is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        z, t = (p.u + p.v) / SQRT2, (p.u - p.v) / SQRT2
-    if not (np.isfinite(z).all() and np.isfinite(t).all()):
-        raise ValueError("lightcone_inverse needs a point whose z and t are finite")
-    return z, t
+    back = lightcone(p.u, p.v)  # the same rotation
+    return back.u, back.v
 
 
 def boost_lightcone(eta: float, p: LightConePoint) -> LightConePoint:
@@ -230,27 +231,31 @@ def boost_lightcone(eta: float, p: LightConePoint) -> LightConePoint:
     return LightConePoint(math.exp(eta) * p.u, math.exp(-eta) * p.v)
 
 
-def _psi(n: int, eta: float, u, v, out: np.ndarray | None = None) -> np.ndarray:
-    """psi_n(eta) at broadcast light-cone (u, v).  With a = e^-eta u/sqrt2 and
-    b = e^eta v/sqrt2, x = a + b and (x^2 + y^2)/2 = a^2 + b^2; M_0 = e^-(a^2+b^2),
-    M_(k+1) = x M_k - (k/2) M_(k-1), psi_n = sqrt(2^n / (pi n!)) M_n."""
-    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
-    a = np.multiply(u, math.exp(-eta) / SQRT2, out=np.empty(shape))
-    b = np.multiply(v, math.exp(eta) / SQRT2, out=np.empty(shape))
+def _recurrence(n: int, x, c: float, m0: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """P_(k+1) = x P_k - c k P_(k-1) from P_0 = m0: M_k at c = 1/2, H_k at c = 2, x doubled.
+    Overwrites m0 and buf, arrays of the broadcast shape, and returns one of them."""
+    if not n:
+        return m0
+    p_prev, p, scratch = m0, np.multiply(x, m0, out=buf), np.empty_like(m0)
+    for k in range(1, n):
+        p_prev *= c * k
+        p_prev, p = p, np.subtract(np.multiply(x, p, out=scratch), p_prev, out=p_prev)
+    return p
+
+
+def _psi(n: int, eta: float, z, t, out: np.ndarray | None = None) -> np.ndarray:
+    """psi_n(eta) at broadcast (z, t).  With (u, v) = _rotate(z, t), a = e^-eta u/sqrt2
+    and b = e^eta v/sqrt2, x = a + b and (x^2 + y^2)/2 = a^2 + b^2; M_0 = e^-(a^2+b^2),
+    M_n from _recurrence, psi_n = sqrt(2^n / (pi n!)) M_n."""
+    u, v = _rotate(z, t)  # kept to the return: freed early, later transforms ran slower
+    a = np.multiply(u, math.exp(-eta) / SQRT2, out=np.empty(np.shape(u)))
+    b = np.multiply(v, math.exp(eta) / SQRT2, out=np.empty(np.shape(v)))
     x = a + b if n else None
     with np.errstate(over="ignore"):  # a square past 1e308 is inf: its Gaussian is 0
         np.negative(np.square(a, out=a), out=a)
         a -= np.square(b, out=b)
     np.copyto(a, -np.inf, where=a < _LOG_FLUSH)
-    m = np.exp(a, out=a)
-    if n:
-        m_prev, m = m, np.multiply(x, m, out=b)
-        scratch = np.empty(shape)
-        for k in range(1, n):
-            np.multiply(x, m, out=scratch)
-            m_prev *= 0.5 * k
-            np.subtract(scratch, m_prev, out=m_prev)
-            m_prev, m = m, m_prev
+    m = _recurrence(n, x, 0.5, np.exp(a, out=a), b)
     return np.multiply(m, math.sqrt(2.0**n / (math.pi * math.factorial(n))), out=out)
 
 
@@ -273,8 +278,7 @@ def boosted_wavefunction(state: OscillatorState, z, t) -> np.ndarray | float:
     """
     z, t = np.asarray(z, dtype=float), np.asarray(t, dtype=float)
     _check_points(z, t, state.eta)
-    p = lightcone(z, t)
-    out = _psi(state.n, state.eta, p.u, p.v)
+    out = _psi(state.n, state.eta, z, t)
     return out if out.ndim else float(out)
 
 
@@ -337,8 +341,7 @@ def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
     full = all(cols.start == 0 and cols.stop >= grid.n_t for _, cols in blocks)
     values = (np.empty if full else np.zeros)((grid.n_z, grid.n_t))
     for rows, cols in blocks:
-        p = lightcone(z[rows, None], t[cols])
-        _psi(n, eta, p.u, p.v, out=values[rows, cols])
+        _psi(n, eta, z[rows, None], t[cols], out=values[rows, cols])
     if centred:  # exact on the antisymmetric nodes, but for the sign of a 0
         half = len(z)
         np.multiply(values[grid.n_z - half - 1::-1, ::-1], (-1.0) ** n, out=values[half:])
@@ -396,8 +399,7 @@ def lightcone_widths(field_: ScalarField) -> tuple[float, float]:
     with np.errstate(all="ignore"):  # a moment or variance that is not finite is refused
         for rows in _row_blocks(field_.grid):
             power = np.abs(field_.values[rows]) ** 2
-            p = lightcone(z[rows, None], t)
-            for k, x in enumerate((1.0, p.u, p.v)):
+            for k, x in enumerate((1.0, *_rotate(z[rows, None], t))):
                 moments[k] += wz[rows] @ (x * x * power) @ wt
         variances = moments[1:] / moments[0]
     if not (moments[0] > 0 and np.isfinite(moments).all() and np.isfinite(variances).all()):

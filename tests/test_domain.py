@@ -72,14 +72,16 @@ def test_every_rapidity_is_refused_or_vouched_for(eta, energy, mass):
 @example(30, 0.0, 1e200, 0.0)           # H_30: NaN, with overflow and invalid-value warnings
 @example(21, 0.0, 2.4e14, 0.0)          # H_21: an overflow warning
 @example(3, 0.0, math.nan, 0.0)         # H_3: NaN
-@example(0, 0.0, 1e308, 1e308)          # lightcone_inverse: (u + v)/sqrt2 read inf
+@example(0, 0.0, 1e308, 1e308)          # lightcone, q_u: (z + t)/sqrt2 read inf; so did its inverse
 def test_every_point_is_refused_or_vouched_for(n, eta, z, t):
     refuse_or_vouch(lambda: osc.boosted_wavefunction(osc.OscillatorState(n, eta), z, t))
     refuse_or_vouch(lambda: osc.boosted_wavefunction(osc.OscillatorState(n, eta),
                                                      np.array([0.0, z]), t))
     refuse_or_vouch(osc.rest_wavefunction, n, z, t)
     refuse_or_vouch(osc.boost_lightcone, eta, osc.LightConePoint(z, t))
+    refuse_or_vouch(osc.lightcone, z, t)
     refuse_or_vouch(osc.lightcone_inverse, osc.LightConePoint(z, t))
+    refuse_or_vouch(lambda: (ms.MomentumPoint(z, t).q_u, ms.MomentumPoint(z, t).q_v))
     refuse_or_vouch(ms.momentum_wavefunction, eta, ms.MomentumPoint(z, t))
     refuse_or_vouch(osc.hermite, n, z)
     refuse_or_vouch(osc.hermite, n, np.array([0.5, z]))

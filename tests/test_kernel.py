@@ -47,8 +47,41 @@ def test_blocked_sample_equals_pointwise(n, eta, n_z, n_t):
 
 def full_axes_reference(n, eta, grid):
     """_psi on the whole broadcast axes at once: no row blocks, no band."""
-    z, t = grid.z_axis[:, None], grid.t_axis
-    return osc._psi(n, eta, (z + t) / SQRT2, (z - t) / SQRT2)
+    return osc._psi(n, eta, grid.z_axis[:, None], grid.t_axis)
+
+
+def light_cone_kernel(n, eta, u, v):
+    """The kernel's formula on light-cone (u, v), rounded step by step as _psi rounds:
+    a = e^-eta u/sqrt2 and b = e^eta v/sqrt2, M_0 = e^-(a^2+b^2) flushed below
+    _LOG_FLUSH, M_(k+1) = x M_k - (k/2) M_(k-1) with x = a + b, and
+    psi_n = sqrt(2^n / (pi n!)) M_n."""
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    a = np.multiply(u, math.exp(-eta) / SQRT2, out=np.empty(shape))
+    b = np.multiply(v, math.exp(eta) / SQRT2, out=np.empty(shape))
+    x = a + b
+    with np.errstate(over="ignore"):  # a square past 1e308 is inf: its Gaussian is 0
+        gauss = -np.square(a) - np.square(b)
+    m_prev = np.exp(np.where(gauss < osc._LOG_FLUSH, -np.inf, gauss))
+    m = x * m_prev if n else m_prev
+    for k in range(1, n):
+        m_prev, m = m, x * m - (0.5 * k) * m_prev
+    return m * math.sqrt(2.0**n / (math.pi * math.factorial(n)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7, 30])
+@pytest.mark.parametrize("eta", [0.0, 0.3, -1.3, 4.0, -12.0])
+def test_kernel_on_z_t_equals_the_light_cone_formula(n, eta):
+    rng = np.random.default_rng(n)
+    reach = 5.0 * math.exp(abs(eta))
+    z, t = rng.uniform(-reach, reach, size=(2, 300))
+    zz, tt = z[:40, None], t[:60]
+    # the wide diagonal, where the narrow coordinate is small and psi is not flushed
+    near = z[:200] + np.sign(eta or 1.0) * rng.uniform(-1.0, 1.0, 200) * math.exp(-abs(eta))
+    for z_, t_ in ((z, t), (zz, tt), (near, np.sign(eta or 1.0) * z[:200]),
+                   (np.float64(0.3), np.float64(-0.7))):
+        want = light_cone_kernel(n, eta, (z_ + t_) / SQRT2, (z_ - t_) / SQRT2)
+        assert np.array_equal(osc._psi(n, eta, z_, t_), want)
+    assert np.count_nonzero(osc._psi(n, eta, near, np.sign(eta or 1.0) * z[:200])) > 100
 
 
 window = st.tuples(st.floats(-2.0, 1.5), st.floats(0.05, 2.0))

@@ -527,6 +527,39 @@ def test_structure_constants_of_little_and_planar_triples():
     assert np.abs(c_little - c_planar).max() == 0.0
 
 
+@pytest.mark.parametrize("basis", [
+    [],
+    np.zeros((0, 4, 4)),
+    [la.GENERATOR_MATRICES["J3"], np.zeros((4, 4))],               # 0/0: NaN, with a warning
+    [la.GENERATOR_MATRICES[k] for k in ("J3", "N1")]
+    + [la.GENERATOR_MATRICES["N2"] + la.GENERATOR_MATRICES["J3"]],  # [A0, A1] rebuilt off by 0.667
+])
+def test_structure_constants_refuse_a_basis_they_cannot_project_on(basis):
+    with pytest.raises(ValueError, match="nonempty, nonzero and orthogonal"):
+        la.structure_constants(basis)
+
+
+def test_relation_residuals_name_the_labels_a_mapping_lacks():
+    mats = {k: v for k, v in la.GENERATOR_MATRICES.items() if k not in ("J2", "N1")}
+    with pytest.raises(ValueError, match="lacks J2, N1$"):
+        la.relation_residuals(mats)
+
+
+@pytest.mark.parametrize("a", [np.full((3, 3), np.nan), np.diag([1.0, np.inf]),
+                               1e6 * np.eye(3),                 # overflow in matmul
+                               np.full((2, 2), 1e308)])         # the norm overflows
+def test_matrix_exponential_refuses_a_non_finite_result(a):
+    with pytest.raises(ValueError, match="finite"):
+        la.matrix_exponential(a)
+
+
+def test_matrix_exponential_of_a_large_nilpotent_matrix_is_exact():
+    # the column sum overflows, but a @ a = 0, so exp(a) = I + a
+    a = np.zeros((3, 3))
+    a[1:, 0] = 1e308
+    assert np.array_equal(la.matrix_exponential(a), np.eye(3) + a)
+
+
 # ---------------------------------------------------------------------------
 # four-vectors
 # ---------------------------------------------------------------------------

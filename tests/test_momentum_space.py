@@ -31,6 +31,13 @@ def test_lightcone_momentum_round_trip():
         assert (q.q_u - q.q_v) / SQRT2 == pytest.approx(q0, abs=1e-14)
 
 
+def test_lightcone_momentum_refuses_an_overflowing_point():
+    q = ms.MomentumPoint(1e308, 1e308)  # q_u read inf
+    for read in (lambda: q.q_u, lambda: q.q_v):
+        with pytest.raises(ValueError, match="not finite"):
+            read()
+
+
 def test_pair_momenta_equal_momenta():
     p = FourVector(0.1, 0.2, 0.3, 1.0)
     total, sep = ms.pair_momenta(ms.QuarkPairMomenta(p, p))

@@ -78,6 +78,36 @@ def test_hermite_refuses_a_non_finite_x_at_order_zero(x):
         osc.hermite(0, np.array([0.5, x]))
 
 
+def physicists_recurrence(n, x):
+    """H_(k+1) = 2x H_k - 2k H_(k-1) from H_0 = 1, written out as the textbook states it."""
+    h_prev, h = np.ones_like(x), 2.0 * x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
+    return h_prev if n == 0 else h
+
+
+def test_hermite_equals_the_physicists_recurrence():
+    # H_k = 2^k M_k, but 2^n times the kernel's M_n rounds otherwise where M_k is
+    # subnormal: H_3(5e-324) would read -4e-323, not -6e-323
+    rng = np.random.default_rng(22)
+    x = np.concatenate([rng.uniform(-10.0, 10.0, 5000),
+                        rng.choice([-1.0, 1.0], 5000) * 10.0 ** rng.uniform(-323.0, 15.0, 5000),
+                        [0.0, -0.0, 5e-324, -1e-310, 2.2e-308, 1e15, -1e15]])
+    refused = 0
+    for n in range(osc.MAX_EXCITATION + 1):
+        with np.errstate(over="ignore"):
+            want = physicists_recurrence(n, x)
+        ok = np.isfinite(want)
+        assert np.array_equal(osc.hermite(n, x[ok]), want[ok])
+        assert all(osc.hermite(n, float(v)) == w for v, w in zip(x[ok][::97], want[ok][::97]))
+        for v in x[~ok]:  # refused exactly where the recurrence is not finite
+            with pytest.raises(ValueError, match="not finite"):
+                osc.hermite(n, float(v))
+        refused += np.count_nonzero(~ok)
+    assert refused > 0
+
+
 def test_hermite_order_guard():
     with pytest.raises(ValueError):
         osc.hermite(31, 0.0)
@@ -106,6 +136,25 @@ def test_lightcone_inverse_refuses_a_point_whose_z_overflows():
     # (u + v)/sqrt2 read inf here, with t = 0.0
     with pytest.raises(ValueError, match="finite"):
         osc.lightcone_inverse(osc.LightConePoint(1e308, 1e308))
+
+
+@pytest.mark.parametrize("z, t", [(1e308, 1e308), (1e308, -1e308), (math.inf, 0.0),
+                                  (np.array([0.0, 1e308]), 1e308)])
+def test_lightcone_refuses_a_point_whose_u_or_v_overflows(z, t):
+    with pytest.raises(ValueError, match="not finite"):
+        osc.lightcone(z, t)
+
+
+def test_sampling_path_builds_no_light_cone_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a light-cone point was built")
+    state, grid = osc.OscillatorState(3, 0.8), osc.GridSpec.for_rapidity(0.8, 64)
+    monkeypatch.setattr(osc, "lightcone", refuse)
+    monkeypatch.setattr(osc, "LightConePoint", refuse)
+    osc.sample_wavefunction(state, grid)
+    osc.boosted_wavefunction(state, np.linspace(-2.0, 2.0, 9)[:, None], np.linspace(-1.0, 1.0, 5))
+    osc.boosted_wavefunction(state, 0.3, -0.2)
+    osc.lightcone_widths(osc.sample_wavefunction(state, grid))
 
 
 def test_nan_point_is_refused_as_not_finite():
