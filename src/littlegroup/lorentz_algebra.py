@@ -279,12 +279,15 @@ def structure_constants(basis: list[np.ndarray]) -> np.ndarray:
     """c[i, j, k] with [A_i, A_j] = sum_k c[i, j, k] A_k.
 
     Coefficients are extracted by Frobenius projection: a basis that is
-    empty or not nonzero and orthogonal under <A, B> = tr(A^H B) is refused.
+    empty, not finite, or not nonzero and orthogonal under <A, B> = tr(A^H B) is refused.
     """
     b = np.asarray(basis, dtype=complex)
-    gram = np.einsum("iab,jab->ij", b.conj(), b) if b.ndim == 3 and len(b) else np.zeros((1, 1))
+    with np.errstate(all="ignore"):  # a Gram matrix that is not finite is refused below
+        gram = (np.einsum("iab,jab->ij", b.conj(), b) if b.ndim == 3 and len(b)
+                else np.zeros((1, 1)))
     norms = gram.diagonal().real
-    if not ((norms > 0).all() and np.abs(gram - np.diag(norms)).max() <= 1e-12 * norms.max()):
+    if not (np.isfinite(gram).all() and (norms > 0).all()
+            and np.abs(gram - np.diag(norms)).max() <= 1e-12 * norms.max()):
         raise ValueError("structure_constants: the basis must be nonempty, nonzero and orthogonal")
     products = np.einsum("iab,jbc->ijac", b, b)
     brackets = products - products.transpose(1, 0, 2, 3)

@@ -358,6 +358,122 @@ def test_non_square_window_transform_matches_closed_form(space, momentum):
     assert np.abs(np.abs(mom.values) - analytic.values)[central].max() <= 1e-6
 
 
+def full_fold(field, momentum_grid):
+    """fourier_numeric without its parity path: the z fold over every column, then
+    all four t products.  Also says whether this machine's products keep the field's
+    exact parity: the fold's columns mirror exactly, and folding the upper columns
+    alone gives the same numbers as folding them all."""
+    g, m = field.grid, momentum_grid
+    (cz, zeta), (ct, tau) = (osc._centred(g.z_min, g.z_max, g.n_z),
+                             osc._centred(g.t_min, g.t_max, g.n_t))
+    (cqz, kappa), (cq0, lam) = (osc._centred(m.z_min, m.z_max, m.n_z),
+                                osc._centred(m.t_min, m.t_max, m.n_t))
+    wz, wt = g.trapezoid_weights()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cos_z, sin_z = ms._parity_kernels(zeta, wz, kappa)
+        cos_t, sin_t = ms._parity_kernels(tau, wt, lam)
+        values = field.values
+        if cqz or cq0:
+            values = values * np.exp(-1j * cqz * zeta)[:, None] * np.exp(1j * cq0 * tau)
+        hc, hs = ms._fold(values, cos_z, sin_z)
+        h = g.n_t // 2
+        upper = ms._fold(values[:, h:], cos_z, sin_z)
+        kept = all(np.array_equal(abs(x[:, h:]), abs(x[:, :g.n_t - h][:, ::-1]))
+                   and np.array_equal(x[:, h:], y) for x, y in zip((hc, hs), upper))
+        cc, cs = (x.T for x in ms._fold(hc.T, cos_t, sin_t))
+        sc, ss = (x.T for x in ms._fold(hs.T, cos_t, sin_t))
+        even, odd, i_diff, i_sum = cc + ss, cc - ss, 1j * (cs - sc), 1j * (cs + sc)
+        out = np.empty((m.n_z, m.n_t), complex)
+        up_z, lo_z = slice(m.n_z // 2, None), slice((m.n_z - 1) // 2, None, -1)
+        up_t, lo_t = slice(m.n_t // 2, None), slice((m.n_t - 1) // 2, None, -1)
+        out[up_z, up_t], out[up_z, lo_t] = even + i_diff, odd - i_sum
+        out[lo_z, up_t], out[lo_z, lo_t] = odd + i_sum, even - i_diff
+        out /= 2.0 * math.pi
+        if cz or ct:
+            out *= np.outer(np.exp(-1j * cz * (cqz + kappa)), np.exp(1j * ct * (cq0 + lam)))
+    return out, kept
+
+
+CENTRED_WINDOWS = [
+    ((-12.0, 12.0, -12.0, 12.0, 512, 512), (-6.0, 6.0, -6.0, 6.0, 257, 257)),  # default sizes
+    ((-6.0, 6.0, -7.0, 7.0, 201, 200), (-4.0, 4.0, -3.0, 3.0, 64, 65)),   # odd and even counts
+    ((-6.0, 6.0, -7.0, 7.0, 40, 41), (-3.0, 3.0, -2.0, 2.0, 33, 32)),
+    ((-6.0, 6.0, -7.0, 7.0, 257, 300), (-4.0, 4.0, -3.0, 3.0, 65, 80)),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7])
+@pytest.mark.parametrize("space, momentum", CENTRED_WINDOWS)
+def test_parity_path_equals_the_full_fold(n, space, momentum):
+    field = osc.sample_wavefunction(osc.OscillatorState(n, 0.7), osc.GridSpec(*space))
+    want, kept = full_fold(field, osc.GridSpec(*momentum))
+    got = ms.fourier_numeric(field, osc.GridSpec(*momentum)).values
+    if kept:
+        assert np.array_equal(got, want)
+    else:  # the full fold's "zero" products are rounding noise, the parity path's exact zeros
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("space, momentum", CENTRED_WINDOWS + [
+    ((-6.0, 6.0, -7.0, 7.0, 201, 200), (-4.0, 5.0, -3.0, 3.0, 64, 65)),  # off-centre momenta
+])
+def test_a_field_without_exact_parity_takes_the_full_fold(space, momentum):
+    grid = osc.GridSpec(*space)
+    values = np.random.default_rng(grid.n_t).normal(size=(grid.n_z, grid.n_t))
+    fields = [osc.ScalarField(grid, values, None, osc.SPACE_TIME),
+              osc.ScalarField(grid, values + 1j * values[::-1], None, osc.SPACE_TIME)]
+    # an exactly even field, one entry of it an ulp off, in a column the parity path skips
+    even = osc.sample_wavefunction(osc.OscillatorState(2, 0.7), grid).values.copy()
+    for i, j in [(grid.n_z // 2 + 3, grid.n_t // 2 - 5), (grid.n_z // 3, grid.n_t // 3)]:
+        nudged = even.copy()
+        nudged[i, j] = np.nextafter(nudged[i, j], np.inf)
+        fields.append(osc.ScalarField(grid, nudged, None, osc.SPACE_TIME))
+    for field in fields:
+        want, _ = full_fold(field, osc.GridSpec(*momentum))
+        assert np.array_equal(ms.fourier_numeric(field, osc.GridSpec(*momentum)).values, want)
+
+
+def test_exact_parity_folds_half_the_columns_and_two_products(monkeypatch):
+    grid, momentum_grid = osc.GridSpec.for_rapidity(0.7, 200), osc.GridSpec.for_rapidity(0.7, 65)
+    calls, fold = [], ms._fold
+    monkeypatch.setattr(ms, "_fold", lambda g, cos_w, sin_w, parity=0: calls.append(
+        (g.shape, parity)) or fold(g, cos_w, sin_w, parity))
+    for n, p in [(0, 1), (1, -1)]:
+        calls.clear()
+        ms.fourier_numeric(osc.sample_wavefunction(osc.OscillatorState(n, 0.7), grid),
+                           momentum_grid)
+        assert calls == [((200, 100), 0), ((100, 33), p), ((100, 33), -p)]
+    field = osc.sample_wavefunction(osc.OscillatorState(1, 0.7), grid)
+    field.values[0, 0] = 1.0
+    calls.clear()
+    ms.fourier_numeric(field, momentum_grid)
+    assert calls == [((200, 200), 0), ((200, 33), 0), ((200, 33), 0)]
+
+
+@pytest.mark.parametrize("space, momentum, pairs", [
+    ((-8.0, 8.0, -8.0, 8.0, 100, 100), (-3.0, 3.0, -3.0, 3.0, 33, 33), 1),
+    ((-8.0, 8.0, -8.0, 8.0, 100, 101), (-3.0, 3.0, -3.0, 3.0, 33, 33), 2),
+    ((-8.0, 8.0, -8.0, 8.0, 100, 100), (-3.0, 3.0, -3.0, 3.5, 33, 33), 2),
+])
+def test_a_square_window_builds_one_kernel_pair(monkeypatch, space, momentum, pairs):
+    calls, kernels = [], ms._parity_kernels
+    monkeypatch.setattr(ms, "_parity_kernels", lambda *a: calls.append(1) or kernels(*a))
+    field = osc.sample_wavefunction(osc.OscillatorState(0, 0.5), osc.GridSpec(*space))
+    got = ms.fourier_numeric(field, osc.GridSpec(*momentum)).values
+    assert len(calls) == pairs
+    assert np.array_equal(got, full_fold(field, osc.GridSpec(*momentum))[0])
+
+
+@pytest.mark.parametrize("values, window", [
+    (np.pad([[np.nan]], ((7, 8), (8, 7))), (-1.0, 1.0, -1.0, 1.0)),  # NaN breaks the parity
+    (np.zeros((16, 16)), (-1e160, 1e160, -1e160, 1e160)),  # even and odd; the phases overflow
+])
+def test_parity_path_still_refuses(values, window):
+    grid = osc.GridSpec(*window, 16, 16)
+    with pytest.raises(ValueError, match="overflow"):
+        ms.fourier_numeric(osc.ScalarField(grid, values, None, osc.SPACE_TIME), grid)
+
+
 def test_central_mask_equals_meshgrid_mask():
     grid = osc.GridSpec(-9.0, 7.0, -5.0, 12.0, 40, 33)
     qz, q0 = grid.meshgrid()

@@ -533,6 +533,8 @@ def test_structure_constants_of_little_and_planar_triples():
     [la.GENERATOR_MATRICES["J3"], np.zeros((4, 4))],               # 0/0: NaN, with a warning
     [la.GENERATOR_MATRICES[k] for k in ("J3", "N1")]
     + [la.GENERATOR_MATRICES["N2"] + la.GENERATOR_MATRICES["J3"]],  # [A0, A1] rebuilt off by 0.667
+    [np.diag([np.inf, 0.0, 0.0, 0.0])],                             # inf - inf: NaN and a warning
+    [np.full((2, 2), 1e200)],                                       # the Gram matrix overflows
 ])
 def test_structure_constants_refuse_a_basis_they_cannot_project_on(basis):
     with pytest.raises(ValueError, match="nonempty, nonzero and orthogonal"):

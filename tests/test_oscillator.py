@@ -387,6 +387,8 @@ def full_grid_eigenvalue(n, grid):
     (0, eig_grid(0.02)), (2, eig_grid(0.02)), (5, eig_grid(0.02)), (10, eig_grid(0.02)),
     (3, osc.GridSpec(-5.0, 4.0, -3.0, 6.0, 301, 250)),       # rectangular, off-centre
     (4, osc.GridSpec(-1.0, 1.0, -6.0, 6.0, 41, osc.BLOCK_POINTS + 9)),  # a row per block
+    (0, osc.GridSpec(-1.0, 1.0, -1.2, 1.2, 41, 49)),  # |psi| > 1e-3 on every edge: a whole box
+    (1, osc.GridSpec(-1.0, 1.0, -1.2, 1.2, 41, 49)),  # and a row of zeros inside it
 ])
 def test_eigenvalue_equals_full_grid_stencil(n, grid):
     assert osc.eigenvalue_check(n, grid) == full_grid_eigenvalue(n, grid)
