@@ -21,8 +21,8 @@ units; GeV enters only through the coherence subcommand.
 
 Only the standard library and parton load with this module.  Each
 subcommand checks its arguments against parton's domain rules, then
-imports the layers it uses, so coherence, --help, usage errors and every
-refusal run without numpy.
+imports the layers it uses, so contract, coherence, --help, usage errors
+and every refusal run without numpy.
 """
 
 from __future__ import annotations
@@ -168,16 +168,14 @@ def cmd_contract(args) -> int:
                          "and steps >= 1")
     if args.steps > MAX_CONTRACT_STEPS:
         raise ValueError(f"contract needs steps <= {MAX_CONTRACT_STEPS}")
-    from . import lorentz_algebra as la
-
     etas = [args.eta_max * k / args.steps for k in range(args.steps + 1)]
-    residuals = [la.contraction_residual(eta, args.source) for eta in etas]
+    residuals = [parton._contraction_residual(eta, args.source) for eta in etas]
     results = [{"eta": eta, "residual": r, "residual_scaled": r * math.exp(2.0 * eta)}
                for eta, r in zip(etas, residuals)]
     scaled_tail = [r["residual_scaled"] for r in results if r["eta"] >= 4.0]
     spread = (max(scaled_tail) - min(scaled_tail)) if scaled_tail else 0.0
     _report(args, {"eta_max": args.eta_max, "steps": args.steps, "source": args.source,
-                   "limit_coefficient": la.CONTRACTION_LIMIT_COEFFICIENT},
+                   "limit_coefficient": parton.CONTRACTION_LIMIT_COEFFICIENT},
             results, {"scaled_column_spread_eta_ge_4": spread})
     return 0
 
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest rapidity in the table (default: 10)")
     p.add_argument("--steps", type=int, default=10, metavar="N",
                    help="number of rapidity intervals (default: 10)")
-    p.add_argument("--source", choices=("J2", "J1"), default="J2",
+    p.add_argument("--source", choices=parton._CONTRACTION_SOURCES, default="J2",
                    help="transverse generator to contract (default: J2)")
     p.set_defaults(func=cmd_contract)
 

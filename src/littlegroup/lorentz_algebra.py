@@ -47,14 +47,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .parton import FourVector, _check_rapidity
+from .parton import (CONTRACTION_LIMIT_COEFFICIENT, FourVector, _check_contraction,
+                     _contraction_residual)
 
 GENERATOR_LABELS = ("J1", "J2", "J3", "K1", "K2", "K3", "N1", "N2")
 PLANAR_LABELS = ("L", "Px", "Py")
-
-#: The boosted, rescaled J2 family converges to this multiple of N1, and the J1
-#: family to this multiple of N2: exact, since each family is built from its limit.
-CONTRACTION_LIMIT_COEFFICIENT = -0.5
 
 
 def _levi_civita(i: int, j: int, k: int) -> float:
@@ -257,11 +254,8 @@ def contracted_generator(eta: float, source: str = "J2") -> np.ndarray:
     are CONTRACTION_LIMIT_COEFFICIENT times N1 and N2, in the massless
     little-group algebra, and the distance to them decays like exp(-2 eta).
     """
-    eta = float(eta)
-    if eta < 0:
-        raise ValueError("contraction rapidity must be nonnegative")
-    _check_rapidity(eta, "contracted_generator")
-    limit, direction = _lookup(_CONTRACTION_FAMILIES, source, "contraction source")
+    eta = _check_contraction(eta, source)
+    limit, direction = _CONTRACTION_FAMILIES[source]
     return limit + math.exp(-2.0 * eta) * direction
 
 
@@ -271,8 +265,9 @@ def contraction_limit(source: str = "J2") -> np.ndarray:
 
 
 def contraction_residual(eta: float, source: str = "J2") -> float:
-    """Frobenius distance from contracted_generator(eta) to its limit."""
-    return float(np.linalg.norm(contracted_generator(eta, source) - contraction_limit(source)))
+    """Frobenius distance from contracted_generator(eta) to its limit, without
+    building either matrix (parton._contraction_residual)."""
+    return _contraction_residual(eta, source)
 
 
 def structure_constants(basis: list[np.ndarray]) -> np.ndarray:

@@ -142,8 +142,8 @@ def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
 
     Returns complex samples on the momentum grid with prefactor 1/(2 pi)
     and measure dz dt.  The tail-guard flag goes false when the input
-    window is too narrow for the sampled state.  Refuses a window on which
-    the phases or the sums overflow.
+    window is too narrow for the sampled state.  Refuses a field that is not
+    finite, and a window on which the phases or the sums overflow.
     """
     if field.representation != SPACE_TIME:
         raise ValueError("fourier_numeric needs a space-time field")
@@ -182,7 +182,9 @@ def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
         if cz or ct:  # the space centre goes onto the output
             values *= np.outer(np.exp(-1j * cz * (cqz + kappa)),
                                np.exp(1j * ct * (cq0 + lam)))
-    if not np.isfinite(values).all():
+    if not np.isfinite(values).all():  # only then is the field itself read
+        if not np.isfinite(field.values).all():
+            raise ValueError("fourier_numeric needs a finite field")
         raise ValueError("fourier_numeric: the phases or sums overflow on this window")
     tail_ok = field.tail_ok and (field.state is None or g.covers_tails(field.state.eta))
     return ScalarField(m, values, field.state, MOMENTUM_ENERGY, tail_ok=tail_ok)

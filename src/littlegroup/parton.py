@@ -32,6 +32,11 @@ DEFAULT_PROTON_MASS_GEV = 0.938
 MAX_EXCITATION = 30
 MAX_RAPIDITY = 350.0  # e^(2 |eta|) stays finite: contract's scale, a grid's squeeze
 
+#: The boosted, rescaled J2 family converges to this multiple of N1, and the J1
+#: family to this multiple of N2: exact, since each family is built from its limit.
+CONTRACTION_LIMIT_COEFFICIENT = -0.5
+_CONTRACTION_SOURCES = ("J2", "J1")
+
 
 def _check_excitation(n, what: str) -> None:
     """Refuse an n that is not an integer in [0, MAX_EXCITATION]."""
@@ -68,6 +73,18 @@ def _check_window(z_min: float, z_max: float, t_min: float, t_max: float,
     if not (0.0 < dz < math.inf and 0.0 < dt < math.inf):
         raise ValueError("grid spacing must be positive and finite: "
                          "the span overflows or the step underflows")
+
+
+def _check_contraction(eta: float, source: str) -> float:
+    """eta as a float; refuses a negative eta, then a large one, then the source."""
+    eta = float(eta)
+    if eta < 0:
+        raise ValueError("contraction rapidity must be nonnegative")
+    _check_rapidity(eta, "contracted_generator")
+    if source not in _CONTRACTION_SOURCES:
+        raise ValueError(f"unknown contraction source {source!r}; "
+                         f"expected one of {_CONTRACTION_SOURCES}")
+    return eta
 
 
 def _check_reach(z: float, t: float, eta: float) -> None:
@@ -166,6 +183,22 @@ def coherence_ratio(eta: float) -> float:
     """
     _check_rapidity(eta, "coherence_ratio")
     return math.exp(-2.0 * eta)
+
+
+def _contraction_residual(eta: float, source: str) -> float:
+    """Frobenius distance from the contracted generator at eta to its limit.
+
+    The float operations of the matrix route (lorentz_algebra), in Python
+    floats.  With h = exp(-2 eta)/2, the difference (limit + 2h direction)
+    - limit has four non-zero entries, for either source: +-a twice and b
+    twice, a = (1/2 + h) - 1/2 and b = (-1/2 + h) + 1/2, summed here in the
+    matrix's row-major order.  The subtraction cancels: once h < 2^-55
+    (eta above about 18.7) the distance reads 0, not exp(-2 eta).
+    """
+    h = 0.5 * math.exp(-2.0 * _check_contraction(eta, source))
+    a = (0.5 + h) - 0.5
+    b = (-0.5 + h) + 0.5
+    return math.sqrt(a * a + b * b + a * a + b * b)
 
 
 def marginal_variance(eta: float) -> float:

@@ -31,6 +31,7 @@ def run_to_file(tmp_path, name, argv):
 GOLDEN_COMMANDS = {
     "algebra_check": ["algebra-check"],
     "contract": ["contract", "--eta-max", "10", "--steps", "10"],
+    "contract_j1": ["contract", "--eta-max", "6", "--steps", "6", "--source", "J1"],
     "coherence": ["coherence", "--energy", "900", "--mass", "0.938"],
 }
 
@@ -480,7 +481,7 @@ def test_wave_function_layers_load_no_algebra():
 
 
 @pytest.mark.parametrize("argv,layers", [
-    (["contract", "--steps", "2"], {"cli", "parton", "lorentz_algebra"}),
+    (["contract", "--steps", "2"], {"cli", "parton"}),
     (["algebra-check"], {"cli", "parton", "lorentz_algebra"}),
     (["squeeze-plot", "--eta", "0"], {"cli", "parton", "oscillator"}),
     (["fourier-check", "--eta", "0"], {"cli", "parton", "oscillator", "momentum_space"}),
@@ -489,6 +490,8 @@ def test_each_command_loads_only_its_layers(argv, layers):
     code, _, err, loaded = run_fresh(argv)
     assert (code, err) == (0, "")
     assert layers_in(loaded) == layers
+    if layers == {"cli", "parton"}:
+        assert "numpy" not in loaded
 
 
 def test_csv_cells_keep_bool_int_and_float_apart(capsys):

@@ -470,7 +470,8 @@ def test_a_square_window_builds_one_kernel_pair(monkeypatch, space, momentum, pa
 ])
 def test_parity_path_still_refuses(values, window):
     grid = osc.GridSpec(*window, 16, 16)
-    with pytest.raises(ValueError, match="overflow"):
+    message = "overflow on this window" if np.isfinite(values).all() else "needs a finite field"
+    with pytest.raises(ValueError, match=message):
         ms.fourier_numeric(osc.ScalarField(grid, values, None, osc.SPACE_TIME), grid)
 
 

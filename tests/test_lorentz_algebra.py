@@ -467,6 +467,34 @@ def test_contraction_residual_rate(source):
     assert r5 / r4 == pytest.approx(math.exp(-2.0), rel=0.01)
 
 
+@pytest.mark.parametrize("source", ["J2", "J1"])
+def test_contraction_residual_is_the_matrix_norm(source):
+    # the residual builds no matrix; numpy's norm of the matrix difference is the
+    # oracle, up to the order in which BLAS sums the four squares
+    for eta in np.linspace(0.0, 350.0, 50001).tolist():
+        want = float(np.linalg.norm(la.contracted_generator(eta, source)
+                                    - la.contraction_limit(source)))
+        got = la.contraction_residual(eta, source)
+        assert abs(got - want) <= math.ulp(want), eta
+    assert la.contraction_residual(20.0, source) == 0.0   # the cancellation floor
+
+
+@pytest.mark.parametrize("source", ["J2", "J1"])
+def test_contraction_direction_has_the_pattern_the_residual_assumes(source):
+    # four purely imaginary entries of +-1/2 where the limit has its +-1/2, so
+    # |direction|_F = 1; in row-major order the limit and direction share their
+    # sign, then differ, then share, then differ: entries a, b, a, b
+    limit = la.contraction_limit(source)
+    direction = la.contracted_generator(0.0, source) - limit
+    assert not direction.real.any() and not limit.real.any()
+    assert (direction != 0).tolist() == (limit != 0).tolist()
+    d, lim = direction.imag[direction != 0], limit.imag[limit != 0]
+    assert np.abs(d).tolist() == [0.5] * 4
+    assert np.abs(lim).tolist() == [abs(la.CONTRACTION_LIMIT_COEFFICIENT)] * 4
+    assert (np.sign(d) == np.sign(lim)).tolist() == [True, False, True, False]
+    assert np.linalg.norm(direction) == 1.0
+
+
 def test_contraction_rejects_bad_input():
     with pytest.raises(ValueError):
         la.contracted_generator(-1.0, "J2")
@@ -476,6 +504,14 @@ def test_contraction_rejects_bad_input():
         la.contraction_limit("J3")
     with pytest.raises(ValueError, match=r"contracted_generator needs \|eta\| <= 350"):
         la.contracted_generator(800.0, "J2")
+    for eta, source, message in (
+            (-1.0, "J2", "contraction rapidity must be nonnegative"),
+            (1.0, "J3", "unknown contraction source 'J3'; expected one of ('J2', 'J1')"),
+            (800.0, "J2", "contracted_generator needs |eta| <= 350"),
+            (math.nan, "J1", "contracted_generator needs |eta| <= 350")):
+        with pytest.raises(ValueError) as caught:
+            la.contraction_residual(eta, source)
+        assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------
