@@ -137,19 +137,12 @@ def _invariance_rows() -> list[tuple[str, float, float]]:
 
 
 def cmd_algebra_check(args) -> int:
-    import numpy as np
-
     from . import lorentz_algebra as la
 
-    gens = None
-    if args.corrupt:
-        mats = {k: np.array(v) for k, v in la.GENERATOR_MATRICES.items()}
-        mats["J1"] = mats["J1"] + 1e-3
-        gens = mats
-    checks = [(name, residual, COMMUTATOR_TOL)
-              for name, residual in la.relation_residuals(gens)]
-    checks += [(name, residual, COMMUTATOR_TOL)
-               for name, residual in la.planar_commutation_check()]
+    gens = ({**la.GENERATOR_MATRICES, "J1": la.GENERATOR_MATRICES["J1"] + 1e-3}
+            if args.corrupt else None)
+    checks = [(name, residual, COMMUTATOR_TOL) for name, residual
+              in la.relation_residuals(gens) + la.planar_commutation_check()]
     checks += _invariance_rows()
     results = [{"relation": name, "max_residual": residual, "tolerance": tol,
                 "passed": residual <= tol} for name, residual, tol in checks]

@@ -8,7 +8,8 @@ of the Euclidean group of the plane, and the boosted-generator family
 whose large-rapidity limit contracts the massive little group into the
 massless one.
 
-Generator conventions, entry by entry (all other entries zero):
+Generator conventions, entry by entry (all other entries zero).  The code
+builds every matrix from this table, which _ENTRIES repeats line for line:
 
     J1 = -i in (y,z),  +i in (z,y)      rotation about x
     J2 = +i in (x,z),  -i in (z,x)      rotation about y
@@ -41,21 +42,32 @@ the sense in which the massless little group is E(2)-like.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .parton import (CONTRACTION_LIMIT_COEFFICIENT, FourVector, _check_contraction,
-                     _contraction_residual)
+from .parton import (_CONTRACTION_SOURCES, CONTRACTION_LIMIT_COEFFICIENT, FourVector,
+                     _check_contraction, _check_label, _contraction_residual)
 
 GENERATOR_LABELS = ("J1", "J2", "J3", "K1", "K2", "K3", "N1", "N2")
 PLANAR_LABELS = ("L", "Px", "Py")
 
-
-def _levi_civita(i: int, j: int, k: int) -> float:
-    return (i - j) * (j - k) * (k - i) / 2.0
+#: The docstring's entry table, line for line: the non-zero entries (row, column, sign) of
+#: the real K = -iG, sign that of the i in G; indices count x, y, z, t (or x, y, w) from 0.
+_ENTRIES = {
+    "J1": ((1, 2, -1), (2, 1, +1)),
+    "J2": ((0, 2, +1), (2, 0, -1)),
+    "J3": ((0, 1, -1), (1, 0, +1)),
+    "K1": ((0, 3, +1), (3, 0, +1)),
+    "K2": ((1, 3, +1), (3, 1, +1)),
+    "K3": ((2, 3, +1), (3, 2, +1)),
+    "L": ((0, 1, -1), (1, 0, +1)),
+    "Px": ((0, 2, +1),),
+    "Py": ((1, 2, +1),),
+}
 
 
 def _readonly(m: np.ndarray) -> np.ndarray:
@@ -64,36 +76,18 @@ def _readonly(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _build_generators() -> dict[str, np.ndarray]:
-    gens: dict[str, np.ndarray] = {}
-    for a in (1, 2, 3):
-        rot = np.zeros((4, 4), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                rot[i, j] = -1j * _levi_civita(a, i + 1, j + 1)
-        gens[f"J{a}"] = rot
-        boost = np.zeros((4, 4), dtype=complex)
-        boost[a - 1, 3] = 1j
-        boost[3, a - 1] = 1j
-        gens[f"K{a}"] = boost
-    gens["N1"] = gens["K1"] - gens["J2"]
-    gens["N2"] = gens["K2"] + gens["J1"]
-    return {label: _readonly(gens[label]) for label in GENERATOR_LABELS}
+def _real_generator(label: str, size: int = 4) -> np.ndarray:
+    k = np.zeros((size, size))
+    for row, column, sign in _ENTRIES[label]:
+        k[row, column] = sign
+    return k
 
 
-def _build_planar() -> dict[str, np.ndarray]:
-    ell = np.zeros((3, 3), dtype=complex)
-    ell[0, 1] = -1j
-    ell[1, 0] = 1j
-    px = np.zeros((3, 3), dtype=complex)
-    px[0, 2] = 1j
-    py = np.zeros((3, 3), dtype=complex)
-    py[1, 2] = 1j
-    return {"L": _readonly(ell), "Px": _readonly(px), "Py": _readonly(py)}
-
-
-GENERATOR_MATRICES: Mapping[str, np.ndarray] = _build_generators()
-PLANAR_MATRICES: Mapping[str, np.ndarray] = _build_planar()
+#: label -> K = -iG, real
+_K = {label: _real_generator(label) for label in GENERATOR_LABELS[:6]}
+_K.update(N1=_K["K1"] - _K["J2"], N2=_K["K2"] + _K["J1"])
+GENERATOR_MATRICES = {label: _readonly(1j * k) for label, k in _K.items()}
+PLANAR_MATRICES = {label: _readonly(1j * _real_generator(label, 3)) for label in PLANAR_LABELS}
 
 #: (a, b) of exp(-i theta G) = I + a K + b K^2 by generator class.  For
 #: J and K, K^2 is diagonal, so b only adds to an identity entry: the
@@ -105,14 +99,9 @@ _COEFFICIENTS = {
 }
 
 
-def _closed_form(label: str) -> tuple:
-    k = (-1j * GENERATOR_MATRICES[label]).real   # -iG has no imaginary part
-    k2 = (k[:, :, None] * k).sum(axis=1)   # K @ K; a matmul would load BLAS at import
-    return _COEFFICIENTS[label[0]], _readonly(k), _readonly(k2)
-
-
-#: label -> (coefficients, K, K^2)
-_CLOSED_FORMS = {label: _closed_form(label) for label in GENERATOR_MATRICES}
+#: label -> (coefficients, K, K^2); K^2 as a sum, since a matmul would load BLAS at import
+_CLOSED_FORMS = {label: (_COEFFICIENTS[label[0]], _readonly(k),
+                         _readonly((k[:, :, None] * k).sum(axis=1))) for label, k in _K.items()}
 _IDENTITY = _readonly(np.eye(4))
 
 
@@ -142,6 +131,16 @@ class PlanarGenerator:
     matrix: np.ndarray = field(repr=False)
 
 
+def _moved(m: np.ndarray, p: FourVector) -> tuple[list[float], list[float]]:
+    """p and m @ p in Python floats, so an overflow warns of nothing; each row sums
+    (x + z) + (y + t), as numpy's matmul does.  Refused unless m @ p is finite."""
+    v = x, y, z, t = [float(c) for c in (p.x, p.y, p.z, p.t)]
+    out = [(a * x + c * z) + (b * y + d * t) for a, b, c, d in m.tolist()]
+    if not all(map(math.isfinite, out)):  # m is finite: a NaN or inf in p reaches every row
+        raise ValueError("transform needs a finite four-vector whose image is finite")
+    return v, out
+
+
 @dataclass(frozen=True)
 class GroupElement:
     """Real Lorentz matrix exp(-i theta G) with its provenance."""
@@ -151,32 +150,25 @@ class GroupElement:
     parameter: float = 0.0
 
     def transform(self, p: FourVector) -> FourVector:
-        return FourVector.from_array(self.matrix @ p.as_array())
-
-
-def _lookup(table: Mapping, key, what: str):
-    if key not in table:
-        raise ValueError(f"unknown {what} {key!r}; expected one of {tuple(table)}")
-    return table[key]
+        """The moved four-vector; ValueError for a NaN or infinite p or an overflow."""
+        return FourVector(*_moved(self.matrix, p)[1])
 
 
 def generator(label: str) -> Generator:
     """Canonical generator for one of J1..J3, K1..K3, N1, N2."""
-    return Generator(label, _lookup(GENERATOR_MATRICES, label, "generator label"))
+    label = _check_label(label, GENERATOR_LABELS, "generator label")
+    return Generator(label, GENERATOR_MATRICES[label])
 
 
 def planar_generator(label: str) -> PlanarGenerator:
     """Canonical plane-group generator L, Px, or Py."""
-    return PlanarGenerator(label, _lookup(PLANAR_MATRICES, label, "planar label"))
-
-
-def _as_matrix(g) -> np.ndarray:
-    return g.matrix if hasattr(g, "matrix") else np.asarray(g)
+    label = _check_label(label, PLANAR_LABELS, "planar label")
+    return PlanarGenerator(label, PLANAR_MATRICES[label])
 
 
 def commutator(a, b) -> np.ndarray:
     """ab - ba for two equally sized square matrices (or generators)."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = (g.matrix if hasattr(g, "matrix") else np.asarray(g) for g in (a, b))
     if ma.shape != mb.shape or ma.ndim != 2 or ma.shape[0] != ma.shape[1]:
         raise ValueError("commutator needs two square matrices of equal shape")
     return ma @ mb - mb @ ma
@@ -215,8 +207,8 @@ def group_element(g: Generator | str, theta: float) -> GroupElement:
     N1 and N2.  A parameter whose element overflows double precision is
     refused with ValueError.
     """
-    label = g if isinstance(g, str) else g.label
-    coefficients, k, k2 = _lookup(_CLOSED_FORMS, label, "generator label")
+    label = _check_label(getattr(g, "label", g), GENERATOR_LABELS, "generator label")
+    coefficients, k, k2 = _CLOSED_FORMS[label]
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError("group parameter must be finite")
@@ -232,9 +224,11 @@ def group_element(g: Generator | str, theta: float) -> GroupElement:
 
 
 def invariance_residual(elem: GroupElement, p: FourVector) -> float:
-    """Max-norm distance by which elem moves p."""
-    a = p.as_array()
-    return float(np.abs(elem.matrix @ a - a).max())
+    """Max-norm distance by which elem moves p; refused as transform is, or if it overflows."""
+    v, moved = _moved(elem.matrix, p)
+    if (residual := max(abs(q - c) for q, c in zip(moved, v))) < math.inf:
+        return residual
+    raise ValueError("the distance moved overflows double precision")
 
 
 def leaves_invariant(elem: GroupElement, p: FourVector, tol: float) -> bool:
@@ -261,7 +255,8 @@ def contracted_generator(eta: float, source: str = "J2") -> np.ndarray:
 
 def contraction_limit(source: str = "J2") -> np.ndarray:
     """Large-rapidity limit matrix of contracted_generator."""
-    return _lookup(_CONTRACTION_FAMILIES, source, "contraction source")[0].copy()
+    return _CONTRACTION_FAMILIES[_check_label(source, _CONTRACTION_SOURCES,
+                                              "contraction source")][0].copy()
 
 
 def contraction_residual(eta: float, source: str = "J2") -> float:
@@ -299,7 +294,8 @@ def _lorentz_rows() -> list[tuple]:
                                  ("K", "K", "J", -1, cyclic)):
         for i, j in pairs:
             k = 6 - i - j if i != j else i
-            rows.append((f"{a}{i}", f"{b}{j}", 1j * sign * _levi_civita(i, j, k), f"{c}{k}"))
+            epsilon = (i - j) * (j - k) * (k - i) / 2.0
+            rows.append((f"{a}{i}", f"{b}{j}", 1j * sign * epsilon, f"{c}{k}"))
     return rows + [("N1", "N2", 0, "N1"), ("J3", "N1", 1j, "N2"), ("J3", "N2", -1j, "N1")]
 
 
@@ -332,16 +328,27 @@ _LITTLE_GROUP_MISMATCH = float(np.abs(
     - structure_constants([PLANAR_MATRICES[k] for k in PLANAR_LABELS])).max())
 
 
+def _finite_4x4(m, label: str) -> np.ndarray:
+    with contextlib.suppress(TypeError, ValueError):   # ragged rows, entries that are not numbers
+        m = np.asarray(m, dtype=complex)
+        if m.shape == (4, 4) and np.isfinite(m).all():
+            return m
+    raise ValueError(f"relation_residuals: generator {label} is not a finite 4x4 matrix")
+
+
 def relation_residuals(gens: Mapping[str, np.ndarray] | None = None
                        ) -> list[tuple[str, float]]:
     """Max entrywise residual of every bracket relation of the algebra.
 
     An alternative generator mapping can be supplied to run the suite
-    against perturbed matrices (negative-control self test); a missing label is refused.
+    against perturbed matrices (negative-control self test); a missing label
+    is refused, and so is a matrix that is not a finite 4x4 one.
     """
     gens, stack = (GENERATOR_MATRICES, _LORENTZ_STACK) if gens is None else (gens, None)
     if missing := [label for label in GENERATOR_LABELS if label not in gens]:
         raise ValueError(f"relation_residuals: the generator mapping lacks {', '.join(missing)}")
+    if stack is None:
+        gens = {label: _finite_4x4(gens[label], label) for label in GENERATOR_LABELS}
     rows = _bracket_residuals(_LORENTZ_BRACKETS, stack or _stack(_LORENTZ_BRACKETS, gens))
     defined = [("N1 = K1 - J2", gens["N1"] - (gens["K1"] - gens["J2"])),
                ("N2 = K2 + J1", gens["N2"] - (gens["K2"] + gens["J1"]))]

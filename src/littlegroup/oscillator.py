@@ -43,7 +43,8 @@ from typing import Optional
 import numpy as np
 
 from .parton import MAX_EXCITATION, marginal_variance  # noqa: F401  (re-exported)
-from .parton import FourVector, _check_excitation, _check_rapidity, _check_reach, _check_window
+from .parton import (FourVector, _check_excitation, _check_label, _check_rapidity, _check_reach,
+                     _check_window)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -164,8 +165,7 @@ class ScalarField:
     def __post_init__(self):
         if self.values.shape != (self.grid.n_z, self.grid.n_t):
             raise ValueError("field values must have shape (n_z, n_t)")
-        if self.representation not in (SPACE_TIME, MOMENTUM_ENERGY):
-            raise ValueError(f"unknown representation {self.representation!r}")
+        _check_label(self.representation, (SPACE_TIME, MOMENTUM_ENERGY), "representation")
 
 
 @dataclass(frozen=True)

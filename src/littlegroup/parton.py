@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable
 
 #: Default beam-particle mass in GeV (proton).
 DEFAULT_PROTON_MASS_GEV = 0.938
@@ -75,15 +74,20 @@ def _check_window(z_min: float, z_max: float, t_min: float, t_max: float,
                          "the span overflows or the step underflows")
 
 
+def _check_label(key, labels: tuple, what: str):
+    """key, if it is a str among labels; any other key is refused, an unhashable one too."""
+    if not (isinstance(key, str) and key in labels):
+        raise ValueError(f"unknown {what} {key!r}; expected one of {labels}")
+    return key
+
+
 def _check_contraction(eta: float, source: str) -> float:
     """eta as a float; refuses a negative eta, then a large one, then the source."""
     eta = float(eta)
     if eta < 0:
         raise ValueError("contraction rapidity must be nonnegative")
     _check_rapidity(eta, "contracted_generator")
-    if source not in _CONTRACTION_SOURCES:
-        raise ValueError(f"unknown contraction source {source!r}; "
-                         f"expected one of {_CONTRACTION_SOURCES}")
+    _check_label(source, _CONTRACTION_SOURCES, "contraction source")
     return eta
 
 
@@ -120,11 +124,6 @@ class FourVector:
     def as_array(self) -> np.ndarray:
         import numpy as np  # on call: importing this layer loads no numpy
         return np.array([self.x, self.y, self.z, self.t], dtype=float)
-
-    @classmethod
-    def from_array(cls, a: Iterable[float]) -> "FourVector":
-        x, y, z, t = (float(c) for c in a)
-        return cls(x, y, z, t)
 
     def __add__(self, other: "FourVector") -> "FourVector":
         return FourVector(self.x + other.x, self.y + other.y,

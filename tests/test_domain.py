@@ -1,10 +1,10 @@
 """The domain rules: every entry point returns finite numbers or refuses.
 
-For any float input, each entry point below either returns values that
-are all finite or raises ValueError.  pyproject.toml turns a
+For any float input, and any key where a label is expected, each entry
+point below either returns values that are all finite or raises ValueError.  pyproject.toml turns a
 RuntimeWarning into an error, so a warning fails these properties too.
-The @examples are inputs that once gave NaN, inf, a warning or an
-OverflowError.
+The @examples are inputs that once gave NaN, inf, a warning, an
+OverflowError, a TypeError or an AttributeError.
 """
 
 import dataclasses
@@ -115,3 +115,30 @@ def test_every_transform_is_refused_or_vouched_for(window, momentum_window, valu
         field = osc.ScalarField(grid, np.full((16, 16), value), None, osc.SPACE_TIME)
         return ms.fourier_numeric(field, momentum)
     refuse_or_vouch(transform)
+
+
+labels = st.one_of(st.sampled_from(la.GENERATOR_LABELS + la.PLANAR_LABELS), st.text(),
+                   st.lists(st.sampled_from(la.GENERATOR_LABELS), max_size=2), st.none(),
+                   st.integers(), st.just(la.planar_generator("L")))
+
+
+@settings(deadline=None)
+@given(labels, any_float, st.tuples(any_float, any_float, any_float, any_float))
+@example(["J1"], 1.0, (0.0, 0.0, 0.0, 1.0))          # generator: TypeError, unhashable
+@example(None, 1.0, (0.0, 0.0, 0.0, 1.0))            # group_element: AttributeError
+@example("K3", 700.0, (0.0, 0.0, 1e10, 1e10))        # the product overflows, with a warning
+@example("J3", 1.0, (math.nan, 0.0, 0.0, 0.0))       # NaN components and residual
+@example(np.array("J1"), 1.0, (0.0, 0.0, 0.0, 1.0))  # equal to "J1", yet unhashable
+@example("J3", math.pi, (1e308, 0.0, 0.0, 0.0))      # a finite image; the distance overflows
+def test_every_label_and_four_vector_is_refused_or_vouched_for(label, theta, components):
+    refuse_or_vouch(la.generator, label)
+    refuse_or_vouch(la.planar_generator, label)
+    elem = refuse_or_vouch(la.group_element, label, theta)
+    if elem is not None:
+        p = la.FourVector(*components)
+        refuse_or_vouch(elem.transform, p)
+        refuse_or_vouch(la.invariance_residual, elem, p)
+        refuse_or_vouch(la.leaves_invariant, elem, p, 1e-9)
+    refuse_or_vouch(la.contraction_limit, label)
+    refuse_or_vouch(la.contracted_generator, 1.0, label)
+    refuse_or_vouch(la.contraction_residual, 1.0, label)

@@ -1,6 +1,7 @@
 """Generator matrices, bracket relations, group elements, and the contraction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,46 @@ def test_unknown_label_rejected():
         la.generator("K4")
     with pytest.raises(ValueError):
         la.planar_generator("Pz")
+
+
+def test_docstring_entry_table_is_the_matrices():
+    """Each "X = +-i in (a,b), ..." line of the module docstring is X's matrix:
+    those entries, and zeros elsewhere."""
+    lines = re.findall(r"^ +(\w+) += ([+-]i in .*)$", la.__doc__, re.M)
+    assert [label for label, _ in lines] == list(ALL_LABELS[:6] + la.PLANAR_LABELS)
+    for label, entries in lines:
+        matrix, axes = ((la.PLANAR_MATRICES[label], "xyw") if label in la.PLANAR_LABELS
+                        else (la.GENERATOR_MATRICES[label], "xyzt"))
+        expected = np.zeros((len(axes), len(axes)), dtype=complex)
+        for sign, row, column in re.findall(r"([+-])i in \((\w),(\w)\)", entries):
+            expected[axes.index(row), axes.index(column)] = 1j if sign == "+" else -1j
+        assert np.array_equal(matrix, expected), label
+
+
+@pytest.mark.parametrize("key", [["J1"], None, 3, np.array("J1"), b"J1"])
+def test_every_label_entry_point_refuses_a_key_it_does_not_list(key):
+    for call in (la.generator, la.planar_generator, la.contraction_limit,
+                 lambda key: la.group_element(key, 1.0),
+                 lambda key: la.contracted_generator(1.0, key),
+                 lambda key: la.contraction_residual(1.0, key)):
+        with pytest.raises(ValueError, match=r"^unknown .*; expected one of \("):
+            call(key)
+
+
+def test_label_messages_name_the_labels():
+    for call, key, message in (
+            (la.generator, "K4", f"unknown generator label 'K4'; expected one of {ALL_LABELS}"),
+            (la.planar_generator, "Pz",
+             "unknown planar label 'Pz'; expected one of ('L', 'Px', 'Py')"),
+            (lambda g: la.group_element(g, 1.0), la.planar_generator("L"),
+             f"unknown generator label 'L'; expected one of {ALL_LABELS}"),
+            (la.contraction_limit, "J3",
+             "unknown contraction source 'J3'; expected one of ('J2', 'J1')")):
+        with pytest.raises(ValueError) as caught:
+            call(key)
+        assert str(caught.value) == message
+    g = la.generator("N2")
+    assert np.array_equal(la.group_element(g, 0.3).matrix, la.group_element("N2", 0.3).matrix)
 
 
 def test_generator_matrices_read_only():
@@ -305,6 +346,39 @@ def test_overflowing_group_element_refused(label, theta):
 
 def test_largest_boost_is_finite():
     assert np.isfinite(la.group_element("K3", 700.0).matrix).all()
+
+
+@pytest.mark.parametrize("label,theta,p,message", [
+    ("J1", 0.5, (0.0, 0.0, 0.0, math.inf), "finite four-vector"),
+    ("N1", 0.5, (math.nan, 0.0, 0.0, 1.0), "finite four-vector"),
+    ("K3", 700.0, (0.0, 0.0, 1e10, 1e10), "image is finite"),
+])
+def test_transform_refuses_a_four_vector_it_cannot_move(label, theta, p, message):
+    elem, p = la.group_element(label, theta), la.FourVector(*p)
+    for call in (elem.transform, lambda p: la.invariance_residual(elem, p),
+                 lambda p: la.leaves_invariant(elem, p, 1e-9)):
+        with pytest.raises(ValueError, match=message):
+            call(p)
+
+
+def test_invariance_residual_refuses_a_distance_that_overflows():
+    elem, p = la.group_element("J3", math.pi), la.FourVector(1e308, 0.0, 0.0, 0.0)
+    assert elem.transform(p).x == -1e308
+    with pytest.raises(ValueError, match="distance moved overflows"):
+        la.invariance_residual(elem, p)
+
+
+def test_transform_is_the_matrix_product():
+    rng = np.random.default_rng(17)
+    for label in ALL_LABELS:
+        for theta in rng.uniform(-20.0, 20.0, size=8):
+            elem, p = la.group_element(label, float(theta)), la.FourVector(*rng.normal(size=4))
+            moved = elem.matrix @ p.as_array()
+            q = elem.transform(p)
+            assert np.abs(np.array([q.x, q.y, q.z, q.t]) - moved).max() <= (
+                4e-16 * (np.abs(elem.matrix) @ np.abs(p.as_array())).max())
+            assert la.invariance_residual(elem, p) == pytest.approx(
+                np.abs(moved - p.as_array()).max(), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("label", ALL_LABELS)
@@ -580,6 +654,16 @@ def test_structure_constants_refuse_a_basis_they_cannot_project_on(basis):
 def test_relation_residuals_name_the_labels_a_mapping_lacks():
     mats = {k: v for k, v in la.GENERATOR_MATRICES.items() if k not in ("J2", "N1")}
     with pytest.raises(ValueError, match="lacks J2, N1$"):
+        la.relation_residuals(mats)
+
+
+@pytest.mark.parametrize("j1", [np.full((4, 4), np.nan), np.diag([1.0, 1.0, 1.0, np.inf]),
+                                np.eye(3),                      # numpy's "inhomogeneous shape"
+                                [[0.0] * 4] * 3 + [[0.0] * 3],  # ragged rows
+                                [[None] * 4] * 4, "J1", None])
+def test_relation_residuals_name_a_matrix_that_is_not_finite_4x4(j1):
+    mats = {**la.GENERATOR_MATRICES, "J1": j1}
+    with pytest.raises(ValueError, match="generator J1 is not a finite 4x4 matrix$"):
         la.relation_residuals(mats)
 
 

@@ -296,6 +296,11 @@ def test_field_shape_checked():
         osc.ScalarField(grid, np.zeros((48, 32)), None, osc.SPACE_TIME)
     with pytest.raises(ValueError):
         osc.ScalarField(grid, np.zeros((32, 48)), None, "position")
+    for representation in ("position", [osc.SPACE_TIME], None):
+        with pytest.raises(ValueError) as caught:
+            osc.ScalarField(grid, np.zeros((32, 48)), None, representation)
+        assert str(caught.value) == (f"unknown representation {representation!r}; "
+                                     "expected one of ('space-time', 'momentum-energy')")
 
 
 # ---------------------------------------------------------------------------
