@@ -50,7 +50,7 @@ from typing import Mapping
 import numpy as np
 
 from .parton import (_CONTRACTION_SOURCES, CONTRACTION_LIMIT_COEFFICIENT, FourVector,
-                     _check_contraction, _check_label, _contraction_residual)
+                     _check_contraction, _check_label, _check_real, _contraction_residual)
 
 GENERATOR_LABELS = ("J1", "J2", "J3", "K1", "K2", "K3", "N1", "N2")
 PLANAR_LABELS = ("L", "Px", "Py")
@@ -133,10 +133,11 @@ class PlanarGenerator:
 
 def _moved(m: np.ndarray, p: FourVector) -> tuple[list[float], list[float]]:
     """p and m @ p in Python floats, so an overflow warns of nothing; each row sums
-    (x + z) + (y + t), as numpy's matmul does.  Refused unless m @ p is finite."""
-    v = x, y, z, t = [float(c) for c in (p.x, p.y, p.z, p.t)]
+    (x + z) + (y + t), as numpy's matmul does.  Refused unless p and m @ p are finite."""
+    what = "transform needs a finite four-vector: each component"
+    v = x, y, z, t = [_check_real(c, what) for c in (p.x, p.y, p.z, p.t)]
     out = [(a * x + c * z) + (b * y + d * t) for a, b, c, d in m.tolist()]
-    if not all(map(math.isfinite, out)):  # m is finite: a NaN or inf in p reaches every row
+    if not all(map(math.isfinite, out)):  # m and p are finite: a product overflowed
         raise ValueError("transform needs a finite four-vector whose image is finite")
     return v, out
 
@@ -209,9 +210,7 @@ def group_element(g: Generator | str, theta: float) -> GroupElement:
     """
     label = _check_label(getattr(g, "label", g), GENERATOR_LABELS, "generator label")
     coefficients, k, k2 = _CLOSED_FORMS[label]
-    theta = float(theta)
-    if not math.isfinite(theta):
-        raise ValueError("group parameter must be finite")
+    theta = _check_real(theta, "group parameter")
     try:
         a, b = coefficients(theta)
     except OverflowError:
@@ -336,24 +335,34 @@ def _finite_4x4(m, label: str) -> np.ndarray:
     raise ValueError(f"relation_residuals: generator {label} is not a finite 4x4 matrix")
 
 
+def _relation_rows(gens: Mapping[str, np.ndarray], stack) -> list[tuple[str, float]]:
+    """The bracket rows of stack, with the definitions of N1 and N2 after the J/K ones."""
+    rows = _bracket_residuals(_LORENTZ_BRACKETS, stack)
+    rows[_EPSILON_ROWS:_EPSILON_ROWS] = [
+        ("N1 = K1 - J2", float(np.abs(gens["N1"] - (gens["K1"] - gens["J2"])).max())),
+        ("N2 = K2 + J1", float(np.abs(gens["N2"] - (gens["K2"] + gens["J1"])).max()))]
+    return rows
+
+
 def relation_residuals(gens: Mapping[str, np.ndarray] | None = None
                        ) -> list[tuple[str, float]]:
     """Max entrywise residual of every bracket relation of the algebra.
 
     An alternative generator mapping can be supplied to run the suite
     against perturbed matrices (negative-control self test); a missing label
-    is refused, and so is a matrix that is not a finite 4x4 one.
+    is refused, so is a matrix that is not a finite 4x4 one, and so are
+    finite matrices whose relation overflows, by the relation's name.
     """
-    gens, stack = (GENERATOR_MATRICES, _LORENTZ_STACK) if gens is None else (gens, None)
+    if gens is None:  # the canonical matrices: every residual is finite
+        return _relation_rows(GENERATOR_MATRICES, _LORENTZ_STACK)
     if missing := [label for label in GENERATOR_LABELS if label not in gens]:
         raise ValueError(f"relation_residuals: the generator mapping lacks {', '.join(missing)}")
-    if stack is None:
-        gens = {label: _finite_4x4(gens[label], label) for label in GENERATOR_LABELS}
-    rows = _bracket_residuals(_LORENTZ_BRACKETS, stack or _stack(_LORENTZ_BRACKETS, gens))
-    defined = [("N1 = K1 - J2", gens["N1"] - (gens["K1"] - gens["J2"])),
-               ("N2 = K2 + J1", gens["N2"] - (gens["K2"] + gens["J1"]))]
-    return (rows[:_EPSILON_ROWS] + [(name, float(np.abs(d).max())) for name, d in defined]
-            + rows[_EPSILON_ROWS:])
+    gens = {label: _finite_4x4(gens[label], label) for label in GENERATOR_LABELS}
+    with np.errstate(all="ignore"):  # a residual that is not finite is refused below
+        rows = _relation_rows(gens, _stack(_LORENTZ_BRACKETS, gens))
+    if overflowed := [name for name, r in rows if not math.isfinite(r)]:
+        raise ValueError(f"relation_residuals: the residual of {overflowed[0]} is not finite")
+    return rows
 
 
 def planar_commutation_check() -> list[tuple[str, float]]:

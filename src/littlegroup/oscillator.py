@@ -26,7 +26,11 @@ every skipped sample is one the kernel would flush to 0 and the array
 equals a full evaluation.  On a window centred on 0 the axes are exactly
 antisymmetric and psi_n(-z, -t) = (-1)^n psi_n(z, t) holds bit for bit, so
 only the first ceil(n_z/2) rows are evaluated and the others are their
-reflection, negated for odd n.  normalization is a state's self-overlap.
+reflection, negated for odd n.  overlap reduces the same blocks as it
+goes, on the narrower state's band, and makes no grid-sized array; on a
+centred window it sums the first ceil(n_z/2) rows twice (the centre row
+once), and a pair whose n add up to an odd number is exactly 0.
+normalization is a state's self-overlap.
 The trapezoidal rule's default window, half-width 6 exp(|eta|), covers the
 tails, but its 512 points leave v unresolved from |eta| ~ 1.8 on, and
 tail_ok checks only the window: normalization(OscillatorState(0, 4))
@@ -327,15 +331,20 @@ def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice,
     return blocks
 
 
+def _rows_to_evaluate(grid: GridSpec, *etas: float) -> tuple[np.ndarray, bool]:
+    """The z rows to evaluate, the first ceil(n_z/2) on a window centred on 0, and
+    whether it is; first refuses the window if any eta's reach overflows on it."""
+    for eta in etas:
+        _check_reach(max(-grid.z_min, grid.z_max), max(-grid.t_min, grid.t_max), eta)
+    centred = grid.z_min == -grid.z_max and grid.t_min == -grid.t_max
+    return grid.z_axis[:(grid.n_z + 1) // 2 if centred else grid.n_z], centred
+
+
 def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
     """psi_n on the grid, evaluated block by block on the band of _band_blocks;
     every sample outside it is one _psi would flush to 0.  On a window centred
     on 0 the rows past the first ceil(n_z/2) are their (-1)^n reflection."""
-    _check_reach(max(-grid.z_min, grid.z_max), max(-grid.t_min, grid.t_max), eta)
-    z, t = grid.z_axis, grid.t_axis
-    centred = grid.z_min == -grid.z_max and grid.t_min == -grid.t_max
-    if centred:
-        z = z[:(grid.n_z + 1) // 2]
+    (z, centred), t = _rows_to_evaluate(grid, eta), grid.t_axis
     blocks = _band_blocks(eta, grid, z)
     # zero-fill only when some block leaves columns of its rows unwritten
     full = all(cols.start == 0 and cols.stop >= grid.n_t for _, cols in blocks)
@@ -354,17 +363,13 @@ def sample_wavefunction(state: OscillatorState, grid: GridSpec) -> ScalarField:
                        SPACE_TIME, tail_ok=grid.covers_tails(state.eta))
 
 
-def _integrate(values: np.ndarray, grid: GridSpec) -> float:
-    wz, wt = grid.trapezoid_weights()
-    return float(wz @ values @ wt)
-
-
 def power_integral(field_: ScalarField) -> float:
     """Trapezoidal integral of |values|^2 over the field's window."""
     with np.errstate(over="ignore"):  # a |value| past 1e154 squares to inf: so is the sum
         power = np.abs(field_.values)
         np.square(power, out=power)
-    return _integrate(power, field_.grid)
+    wz, wt = field_.grid.trapezoid_weights()
+    return float(wz @ power @ wt)
 
 
 def normalization(state: OscillatorState, grid: GridSpec | None = None
@@ -381,10 +386,30 @@ def normalization(state: OscillatorState, grid: GridSpec | None = None
 
 def overlap(state_a: OscillatorState, state_b: OscillatorState,
             grid: GridSpec) -> float:
-    """Trapezoidal overlap of two (real) wave functions, each sampled once."""
-    psi = _sample_grid(state_a.n, state_a.eta, grid)
-    psi *= psi if state_b == state_a else _sample_grid(state_b.n, state_b.eta, grid)
-    return _integrate(psi, grid)
+    """Trapezoidal overlap of two (real) wave functions, reduced block by block.
+
+    Each block of _band_blocks, on the band of the state with the larger
+    |eta| (the narrower one: outside it the product is 0), evaluates both
+    states and adds wz @ product @ wt to a float; no grid-sized array is
+    made.  On a window centred on 0 the product has parity (-1)^(n_a + n_b)
+    bit for bit: an odd total is exactly 0.0, the trapezoid sum of the
+    reflected samples, and an even one is twice the sum over the first
+    ceil(n_z/2) rows, less the centre row when n_z is odd.
+    """
+    (z, centred), t = _rows_to_evaluate(grid, state_a.eta, state_b.eta), grid.t_axis
+    if centred and (state_a.n + state_b.n) % 2:
+        return 0.0
+    wz, wt = grid.trapezoid_weights()
+    if centred:  # each row stands for itself and its reflection, the centre row for itself
+        wz = 2.0 * wz[:len(z)]
+        if grid.n_z % 2:
+            wz[-1] *= 0.5
+    total = 0.0
+    for rows, cols in _band_blocks(max(state_a.eta, state_b.eta, key=abs), grid, z):
+        psi = _psi(state_a.n, state_a.eta, z[rows, None], t[cols])
+        psi *= psi if state_b == state_a else _psi(state_b.n, state_b.eta, z[rows, None], t[cols])
+        total += wz[rows] @ psi @ wt[cols]
+    return float(total)
 
 
 def lightcone_widths(field_: ScalarField) -> tuple[float, float]:

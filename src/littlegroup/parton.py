@@ -22,6 +22,7 @@ CLI refuses an argument before it loads a numeric layer (a ValueError).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -38,9 +39,9 @@ _CONTRACTION_SOURCES = ("J2", "J1")
 
 
 def _check_excitation(n, what: str) -> None:
-    """Refuse an n that is not an integer in [0, MAX_EXCITATION]."""
+    """Refuse an n that is not an integer in [0, MAX_EXCITATION], or is a bool."""
     try:
-        ok = 0 <= operator.index(n) <= MAX_EXCITATION
+        ok = not isinstance(n, bool) and 0 <= operator.index(n) <= MAX_EXCITATION
     except TypeError:
         ok = False
     if not ok:
@@ -81,9 +82,23 @@ def _check_label(key, labels: tuple, what: str):
     return key
 
 
+def _check_real(x, what: str) -> float:
+    """x as a float, if it is a real number, not a bool, whose float is finite; any
+    other x (None, a str, NaN, an int past the float range) is refused."""
+    try:  # a float (numpy's too) skips the ABC test, which costs ten times the rest
+        real = isinstance(x, float) or isinstance(x, numbers.Real) and not isinstance(x, bool)
+        value = float(x) if real else math.nan
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite real number")
+    return value
+
+
 def _check_contraction(eta: float, source: str) -> float:
-    """eta as a float; refuses a negative eta, then a large one, then the source."""
-    eta = float(eta)
+    """eta as a float; refuses one that is not a finite real, a negative one, then a large
+    one, then the source."""
+    eta = _check_real(eta, "contraction rapidity")
     if eta < 0:
         raise ValueError("contraction rapidity must be nonnegative")
     _check_rapidity(eta, "contracted_generator")

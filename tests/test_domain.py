@@ -4,7 +4,7 @@ For any float input, and any key where a label is expected, each entry
 point below either returns values that are all finite or raises ValueError.  pyproject.toml turns a
 RuntimeWarning into an error, so a warning fails these properties too.
 The @examples are inputs that once gave NaN, inf, a warning, an
-OverflowError, a TypeError or an AttributeError.
+OverflowError, a TypeError or an AttributeError, or a bool read as a number.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ from littlegroup import parton
 any_float = st.floats()
 # st.floats() alone seldom lands near the rapidity bound
 rapidity = st.one_of(st.floats(), st.floats(-400.0, 400.0))
-excitation = st.integers(-2, osc.MAX_EXCITATION + 3)
+excitation = st.one_of(st.integers(-2, osc.MAX_EXCITATION + 3), st.booleans())
 SMALL_GRID = osc.GridSpec(-4.0, 4.0, -4.0, 4.0, 16, 16)
 
 
@@ -73,7 +73,10 @@ def test_every_rapidity_is_refused_or_vouched_for(eta, energy, mass):
 @example(21, 0.0, 2.4e14, 0.0)          # H_21: an overflow warning
 @example(3, 0.0, math.nan, 0.0)         # H_3: NaN
 @example(0, 0.0, 1e308, 1e308)          # lightcone, q_u: (z + t)/sqrt2 read inf; so did its inverse
+@example(True, 0.0, 0.5, 0.0)           # OscillatorState and hermite read True as n = 1
 def test_every_point_is_refused_or_vouched_for(n, eta, z, t):
+    # a bool is no excitation number: refused, not read as 0 or 1
+    assert refuse_or_vouch(osc.OscillatorState, n, eta) is None or not isinstance(n, bool)
     refuse_or_vouch(lambda: osc.boosted_wavefunction(osc.OscillatorState(n, eta), z, t))
     refuse_or_vouch(lambda: osc.boosted_wavefunction(osc.OscillatorState(n, eta),
                                                      np.array([0.0, z]), t))
@@ -130,6 +133,8 @@ labels = st.one_of(st.sampled_from(la.GENERATOR_LABELS + la.PLANAR_LABELS), st.t
 @example("J3", 1.0, (math.nan, 0.0, 0.0, 0.0))       # NaN components and residual
 @example(np.array("J1"), 1.0, (0.0, 0.0, 0.0, 1.0))  # equal to "J1", yet unhashable
 @example("J3", math.pi, (1e308, 0.0, 0.0, 0.0))      # a finite image; the distance overflows
+@example("J2", None, (0.0, 0.0, 0.0, 1.0))           # group_element, the contraction: TypeError
+@example("J3", 1.0, (10**400, 0.0, 0.0, 0.0))        # transform: OverflowError from float()
 def test_every_label_and_four_vector_is_refused_or_vouched_for(label, theta, components):
     refuse_or_vouch(la.generator, label)
     refuse_or_vouch(la.planar_generator, label)
@@ -140,5 +145,14 @@ def test_every_label_and_four_vector_is_refused_or_vouched_for(label, theta, com
         refuse_or_vouch(la.invariance_residual, elem, p)
         refuse_or_vouch(la.leaves_invariant, elem, p, 1e-9)
     refuse_or_vouch(la.contraction_limit, label)
-    refuse_or_vouch(la.contracted_generator, 1.0, label)
-    refuse_or_vouch(la.contraction_residual, 1.0, label)
+    refuse_or_vouch(la.contracted_generator, theta, label)
+    refuse_or_vouch(la.contraction_residual, theta, label)
+
+
+@settings(deadline=None)
+@given(st.sets(st.sampled_from(la.GENERATOR_LABELS)), any_float)
+@example({"J1", "J2"}, 1e200)   # [J1 J2] overflows: inf and NaN, with two warnings
+def test_every_scaled_generator_mapping_is_refused_or_vouched_for(labels, scale):
+    with np.errstate(invalid="ignore"):  # inf times a zero entry: a NaN matrix, refused
+        mats = {k: scale * m if k in labels else m for k, m in la.GENERATOR_MATRICES.items()}
+    refuse_or_vouch(lambda: tuple(r for _, r in la.relation_residuals(mats)))

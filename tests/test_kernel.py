@@ -209,6 +209,11 @@ def test_top_excitation_at_large_rapidity_is_finite():
 def test_excitation_cap_is_checked_on_the_state():
     with pytest.raises(ValueError, match=r"\[0, 30\]"):
         osc.OscillatorState(osc.MAX_EXCITATION + 1, 0.0)
+    for n in (True, False):   # a bool is no excitation number, though operator.index takes it
+        with pytest.raises(ValueError, match=r"\[0, 30\]"):
+            osc.OscillatorState(n, 0.0)
+        with pytest.raises(ValueError, match=r"\[0, 30\]"):
+            osc.hermite(n, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +231,76 @@ def test_normalization_is_the_self_overlap(n, eta):
                                                          osc.GridSpec.for_rapidity(eta))
 
 
+def meshgrid_overlap(state_a, state_b, grid):
+    """The trapezoid overlap as the exact (math.fsum) sum of the weighted products on a
+    full meshgrid, and the fsum of their magnitudes, the scale its rounding is bounded on."""
+    zz, tt = grid.meshgrid()
+    wz, wt = grid.trapezoid_weights()
+    terms = (wz[:, None] * osc.boosted_wavefunction(state_a, zz, tt)
+             * osc.boosted_wavefunction(state_b, zz, tt) * wt).ravel()
+    return math.fsum(terms), math.fsum(np.abs(terms))
+
+
 def test_diagonal_overlap_equals_power_integral():
+    # the streamed half-grid sum and power_integral's full one round differently
+    # (1.0000000000000007 and ...04 at (3, 1.2)): each is held to 4 ulp of the exact sum
     grid = osc.GridSpec.for_rapidity(1.2, 300)
     for n in (0, 3):
         state = osc.OscillatorState(n, 1.2)
-        assert osc.overlap(state, state, grid) == osc.power_integral(
-            osc.sample_wavefunction(state, grid))
+        want, _ = meshgrid_overlap(state, state, grid)
+        for got in (osc.overlap(state, state, grid),
+                    osc.power_integral(osc.sample_wavefunction(state, grid))):
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+
+@pytest.mark.parametrize("m, eta_a, n, eta_b", [
+    (0, 0.0, 0, 0.7), (1, 0.3, 1, -0.4), (2, -0.5, 2, 0.6), (5, 1.2, 5, 0.0),
+    (10, 0.3, 10, 0.3), (3, -1.0, 3, -1.0),
+    (0, 0.0, 2, 0.6), (1, 0.3, 3, -0.4), (2, 0.5, 4, 0.9)])   # even totals, orthogonal
+def test_overlap_follows_the_closed_form_law(m, eta_a, n, eta_b):
+    # <psi_m(eta_a)|psi_n(eta_b)> = delta_mn cosh(eta_a - eta_b)^-(n+1) on windows that
+    # resolve both states, centred or not, in either order: the band walked, the
+    # narrower state's, drops no non-zero sample of the product
+    law = math.cosh(eta_a - eta_b) ** -(n + 1) if m == n else 0.0
+    a, b = osc.OscillatorState(m, eta_a), osc.OscillatorState(n, eta_b)
+    for grid in (osc.GridSpec(-14.0, 14.0, -14.0, 14.0, 401, 401),
+                 osc.GridSpec(-13.0, 15.0, -14.5, 13.0, 400, 390)):
+        assert osc.overlap(a, b, grid) == pytest.approx(law, abs=2e-15)
+        assert osc.overlap(b, a, grid) == pytest.approx(law, abs=2e-15)
+
+
+@pytest.mark.parametrize("m, eta_a, n, eta_b", [(0, 0.0, 1, 0.0), (1, 0.3, 2, -0.4),
+                                                (4, 1.1, 7, 1.1)])
+def test_odd_pair_is_exactly_zero_on_a_centred_window(m, eta_a, n, eta_b):
+    a, b = osc.OscillatorState(m, eta_a), osc.OscillatorState(n, eta_b)
+    got = osc.overlap(a, b, osc.GridSpec(-9.0, 9.0, -8.0, 8.0, 200, 181))
+    assert got == 0.0 and type(got) is float
+    # off centre the window cuts both states, so the pair no longer cancels
+    off = osc.GridSpec(-2.0, 9.0, -3.0, 8.5, 220, 201)
+    want, scale = meshgrid_overlap(a, b, off)
+    assert abs(want) > 1e-3
+    assert abs(osc.overlap(a, b, off) - want) <= 4 * math.ulp(scale)
+
+
+@pytest.mark.parametrize("n_z, n_t", [(301, 301), (257, 200), (17, 16), (200, 181)])
+def test_centred_window_counts_the_centre_row_once(n_z, n_t):
+    grid = osc.GridSpec(-7.5, 7.5, -7.0, 7.0, n_z, n_t)
+    for (m, eta_a), (n, eta_b) in (((2, 0.5), (2, 0.5)), ((1, 0.3), (3, -0.4)),
+                                   ((0, 0.0), (0, 0.8))):
+        a, b = osc.OscillatorState(m, eta_a), osc.OscillatorState(n, eta_b)
+        want, scale = meshgrid_overlap(a, b, grid)
+        assert abs(osc.overlap(a, b, grid) - want) <= 4 * math.ulp(scale)
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_overlap_refuses_either_state_whose_reach_overflows(flip):
+    # e^0 keeps (|z| + |t|) e^|eta| finite on this window, e^5 does not; the pair is odd,
+    # so the refusal comes before its exact 0
+    grid = osc.GridSpec(-1e306, 1e306, -1e306, 1e306, 16, 16)
+    near, far = osc.OscillatorState(0, 0.0), osc.OscillatorState(1, 5.0)
+    assert math.isfinite(osc.overlap(near, near, grid))
+    with pytest.raises(ValueError, match="window too wide"):
+        osc.overlap(*((far, near) if flip else (near, far)), grid)
 
 
 def meshgrid_widths(field):
@@ -515,3 +584,17 @@ def test_banded_sample_memory(eta):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * grid.n_z * grid.n_t * 8 + MIB
+
+
+def test_overlap_makes_no_grid_sized_array():
+    # a 512^2 array is 2 MiB; the streamed reduction holds a block or two of the band
+    grid = osc.GridSpec.for_rapidity(4.0)
+    a, b = osc.OscillatorState(0, 4.0), osc.OscillatorState(2, 4.0)
+    for call in (lambda: osc.overlap(a, b, grid), lambda: osc.normalization(a)):
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * MIB

@@ -352,6 +352,9 @@ def test_largest_boost_is_finite():
     ("J1", 0.5, (0.0, 0.0, 0.0, math.inf), "finite four-vector"),
     ("N1", 0.5, (math.nan, 0.0, 0.0, 1.0), "finite four-vector"),
     ("K3", 700.0, (0.0, 0.0, 1e10, 1e10), "image is finite"),
+    ("J3", 1.0, (10**400, 0.0, 0.0, 0.0), "finite four-vector: each component"),
+    ("K1", 1.0, (0.0, None, 0.0, 1.0), "finite four-vector: each component"),
+    ("J2", 1.0, (0.0, 0.0, True, 1.0), "finite four-vector: each component"),
 ])
 def test_transform_refuses_a_four_vector_it_cannot_move(label, theta, p, message):
     elem, p = la.group_element(label, theta), la.FourVector(*p)
@@ -415,6 +418,9 @@ def test_non_finite_parameter_rejected():
         la.group_element("K3", math.inf)
     with pytest.raises(ValueError):
         la.group_element("J1", math.nan)
+    for theta in (None, "1.0", True, 10**400):
+        with pytest.raises(ValueError, match="^group parameter must be a finite real number$"):
+            la.group_element("J1", theta)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +588,10 @@ def test_contraction_rejects_bad_input():
             (-1.0, "J2", "contraction rapidity must be nonnegative"),
             (1.0, "J3", "unknown contraction source 'J3'; expected one of ('J2', 'J1')"),
             (800.0, "J2", "contracted_generator needs |eta| <= 350"),
-            (math.nan, "J1", "contracted_generator needs |eta| <= 350")):
+            (math.nan, "J1", "contraction rapidity must be a finite real number"),
+            (None, "J2", "contraction rapidity must be a finite real number"),
+            (True, "J2", "contraction rapidity must be a finite real number"),
+            (10**400, "J1", "contraction rapidity must be a finite real number")):
         with pytest.raises(ValueError) as caught:
             la.contraction_residual(eta, source)
         assert str(caught.value) == message
@@ -664,6 +673,19 @@ def test_relation_residuals_name_the_labels_a_mapping_lacks():
 def test_relation_residuals_name_a_matrix_that_is_not_finite_4x4(j1):
     mats = {**la.GENERATOR_MATRICES, "J1": j1}
     with pytest.raises(ValueError, match="generator J1 is not a finite 4x4 matrix$"):
+        la.relation_residuals(mats)
+
+
+def test_relation_residuals_name_a_relation_that_overflows():
+    # finite entries, but J1 J2 and J2 J1 read inf: their difference is NaN
+    mats = {**la.GENERATOR_MATRICES, "J1": 1e200 * la.GENERATOR_MATRICES["J1"],
+            "J2": 1e200 * la.GENERATOR_MATRICES["J2"]}
+    with pytest.raises(ValueError, match=r"residual of \[J1 J2\] = iJ3 is not finite$"):
+        la.relation_residuals(mats)
+    # every bracket stays finite; N1 - (K1 - J2) reads -inf in the K1 entries
+    mats = {**la.GENERATOR_MATRICES, "N1": -1.7e308 * la.GENERATOR_MATRICES["K1"],
+            "K1": 1.7e308 * la.GENERATOR_MATRICES["K1"]}
+    with pytest.raises(ValueError, match="residual of N1 = K1 - J2 is not finite$"):
         la.relation_residuals(mats)
 
 
