@@ -39,7 +39,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oscillator import (
-    BLOCK_POINTS,
     MOMENTUM_ENERGY,
     SPACE_TIME,
     SQRT2,
@@ -47,6 +46,7 @@ from .oscillator import (
     OscillatorState,
     ScalarField,
     _centred,
+    _parity,
     _sample_grid,
     boosted_wavefunction,
     lightcone,
@@ -127,16 +127,6 @@ def _fold(g, cos_w, sin_w, parity: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return cos_w.T @ (g[h:] + mirror), sin_w.T @ (g[h:] - mirror)
 
 
-def _parity(values: np.ndarray) -> int:
-    """1 (-1) if values equals (minus) values[::-1, ::-1] exactly, else 0; the first
-    half of the rows is compared with its mirror a row block at a time."""
-    half, step = (len(values) + 1) // 2, max(1, BLOCK_POINTS // values.shape[1])
-    top, flip, signs = values[:half], values[::-1, ::-1][:half], [1, -1]
-    for i in range(0, half, step):
-        signs = [s for s in signs if np.array_equal(top[i:i + step], s * flip[i:i + step])]
-    return signs[0] if signs else 0
-
-
 def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
     """Direct quadrature of the transform kernel exp(-i (q_z z - q_0 t)).
 
@@ -170,9 +160,11 @@ def fourier_numeric(field: ScalarField, momentum_grid: GridSpec) -> ScalarField:
                 block = block * rows * cols[k:k + width]
             folds.append(_fold(block, cos_z, sin_z))
         hc, hs = (np.hstack(h) for h in zip(*folds))
+        del folds, block
         # four quarter-size products fill the four output quadrants by parity
         cc, cs = (x.T for x in _fold(hc.T, cos_t, sin_t, p))
         sc, ss = (x.T for x in _fold(hs.T, cos_t, sin_t, -p))
+        del hc, hs, cos_z, sin_z, cos_t, sin_t  # freed before the quadrants are assembled
         even, odd, i_diff, i_sum = cc + ss, cc - ss, 1j * (cs - sc), 1j * (cs + sc)
         up_z, lo_z = slice(m.n_z // 2, None), slice((m.n_z - 1) // 2, None, -1)
         up_t, lo_t = slice(m.n_t // 2, None), slice((m.n_t - 1) // 2, None, -1)

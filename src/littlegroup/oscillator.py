@@ -30,7 +30,11 @@ reflection, negated for odd n.  overlap reduces the same blocks as it
 goes, on the narrower state's band, and makes no grid-sized array; on a
 centred window it sums the first ceil(n_z/2) rows twice (the centre row
 once), and a pair whose n add up to an odd number is exactly 0.
-normalization is a state's self-overlap.
+normalization is a state's self-overlap.  lightcone_widths sums the same
+half grid (_weights) when the values have exact parity, and each row block
+only over its live columns; eigenvalue_check forms its stencil ratios on
+the half whose mirrors hold the same ratios bit for bit, and takes the
+median from it.
 The trapezoidal rule's default window, half-width 6 exp(|eta|), covers the
 tails, but its 512 points leave v unresolved from |eta| ~ 1.8 on, and
 tail_ok checks only the window: normalization(OscillatorState(0, 4))
@@ -291,10 +295,10 @@ def rest_wavefunction(n: int, z, t) -> np.ndarray | float:
     return boosted_wavefunction(OscillatorState(n, 0.0), z, t)
 
 
-def _row_blocks(grid: GridSpec) -> list[slice]:
-    """Slices of about BLOCK_POINTS grid points each along the z axis."""
+def _row_blocks(grid: GridSpec, stop: int) -> list[slice]:
+    """Slices of about BLOCK_POINTS grid points each along the z axis, up to row stop."""
     rows = max(1, BLOCK_POINTS // grid.n_t)
-    return [slice(i, i + rows) for i in range(0, grid.n_z, rows)]
+    return [slice(i, min(i + rows, stop)) for i in range(0, stop, rows)]
 
 
 def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice, slice]]:
@@ -331,13 +335,39 @@ def _band_blocks(eta: float, grid: GridSpec, z: np.ndarray) -> list[tuple[slice,
     return blocks
 
 
+def _is_centred(grid: GridSpec) -> bool:
+    """Whether the window is centred on 0: its axes are then exactly antisymmetric."""
+    return grid.z_min == -grid.z_max and grid.t_min == -grid.t_max
+
+
 def _rows_to_evaluate(grid: GridSpec, *etas: float) -> tuple[np.ndarray, bool]:
     """The z rows to evaluate, the first ceil(n_z/2) on a window centred on 0, and
     whether it is; first refuses the window if any eta's reach overflows on it."""
     for eta in etas:
         _check_reach(max(-grid.z_min, grid.z_max), max(-grid.t_min, grid.t_max), eta)
-    centred = grid.z_min == -grid.z_max and grid.t_min == -grid.t_max
+    centred = _is_centred(grid)
     return grid.z_axis[:(grid.n_z + 1) // 2 if centred else grid.n_z], centred
+
+
+def _weights(grid: GridSpec, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The trapezoid weights; with half, wz covers the first ceil(n_z/2) rows only,
+    each doubled to stand for its reflection too, but an odd n_z's centre row, its own."""
+    wz, wt = grid.trapezoid_weights()
+    if half:
+        wz = 2.0 * wz[:(grid.n_z + 1) // 2]
+        if grid.n_z % 2:
+            wz[-1] *= 0.5
+    return wz, wt
+
+
+def _parity(values: np.ndarray) -> int:
+    """1 (-1) if values equals (minus) values[::-1, ::-1] exactly, else 0; the first
+    half of the rows is compared with its mirror a row block at a time."""
+    half, step = (len(values) + 1) // 2, max(1, BLOCK_POINTS // values.shape[1])
+    top, flip, signs = values[:half], values[::-1, ::-1][:half], [1, -1]
+    for i in range(0, half, step):
+        signs = [s for s in signs if np.array_equal(top[i:i + step], s * flip[i:i + step])]
+    return signs[0] if signs else 0
 
 
 def _sample_grid(n: int, eta: float, grid: GridSpec) -> np.ndarray:
@@ -399,11 +429,7 @@ def overlap(state_a: OscillatorState, state_b: OscillatorState,
     (z, centred), t = _rows_to_evaluate(grid, state_a.eta, state_b.eta), grid.t_axis
     if centred and (state_a.n + state_b.n) % 2:
         return 0.0
-    wz, wt = grid.trapezoid_weights()
-    if centred:  # each row stands for itself and its reflection, the centre row for itself
-        wz = 2.0 * wz[:len(z)]
-        if grid.n_z % 2:
-            wz[-1] *= 0.5
+    wz, wt = _weights(grid, centred)
     total = 0.0
     for rows, cols in _band_blocks(max(state_a.eta, state_b.eta, key=abs), grid, z):
         psi = _psi(state_a.n, state_a.eta, z[rows, None], t[cols])
@@ -418,16 +444,29 @@ def lightcone_widths(field_: ScalarField) -> tuple[float, float]:
     Applies equally to both representations: momentum-energy fields use
     the same diagonal map with (q_z, q_0) in place of (z, t).  u^2 and v^2
     are not expanded in z and t: the expanded moments cancel at large eta.
+    Each row block is reduced only from its first to its last column with a
+    non-zero sample.  When the window is centred on 0 and the values equal
+    +-values[::-1, ::-1] exactly (_parity, read from the values), u^2, v^2 and
+    |values|^2 are all even, so only the first ceil(n_z/2) rows are summed,
+    with _weights' doubled weights.
     """
-    z, t = field_.grid.z_axis, field_.grid.t_axis
-    wz, wt = field_.grid.trapezoid_weights()
+    grid, values = field_.grid, field_.values
+    wz, wt = _weights(grid, _is_centred(grid) and _parity(values) != 0)
+    z, t = grid.z_axis[:len(wz)], grid.t_axis
     moments = np.zeros(3)  # mass, then those of u^2 and v^2
     with np.errstate(all="ignore"):  # a moment or variance that is not finite is refused
-        for rows in _row_blocks(field_.grid):
-            power = np.abs(field_.values[rows])
-            moments[0] += wz[rows] @ np.square(power, out=power) @ wt
-            for k, x in enumerate(_rotate(z[rows, None], t), 1):
-                moments[k] += wz[rows] @ (x * x * power) @ wt
+        for rows in _row_blocks(grid, len(z)):
+            live = np.flatnonzero(values[rows].any(0))
+            if not live.size:  # every skipped cell adds an exact 0
+                continue
+            cols = slice(live[0], live[-1] + 1)
+            power = np.abs(values[rows, cols])
+            moments[0] += wz[rows] @ np.square(power, out=power) @ wt[cols]
+            for k, sign in enumerate((1.0, -1.0), 1):  # u, then v: one block array at a time
+                x = np.add(z[rows, None], sign * t[cols])
+                x /= SQRT2
+                x *= x
+                moments[k] += wz[rows] @ np.multiply(x, power, out=x) @ wt[cols]
         variances = moments[1:] / moments[0]
     if not (moments[0] > 0 and np.isfinite(moments).all() and np.isfinite(variances).all()):
         raise ValueError("lightcone_widths needs a field with positive weight "
@@ -439,40 +478,76 @@ def eigenvalue_check(n: int, grid: GridSpec) -> float:
     """Finite-difference eigenvalue of the invariant oscillator form.
 
     Applies 0.5 * ((z^2 - t^2) - (d^2/dz^2 - d^2/dt^2)) to the sampled
-    rest-frame wave function with second-order central stencils and
-    returns the median of the pointwise ratio (operator result / psi)
-    over interior points with |psi| > 1e-3.  The stencils run only on the
-    box of interior rows and columns that hold such a point.  Under the
-    spacelike-positive signature the timelike ground factor contributes
-    -1/2, so the expected value is exactly n.
+    rest-frame wave function with second-order central stencils, each
+    written ((psi[+1] + psi[-1]) - 2 psi), and returns the median of the
+    pointwise ratio (operator result / psi) over interior points with
+    |psi| > 1e-3.  The stencils run only on the box of interior rows and
+    columns that hold such a point.  Under the spacelike-positive signature
+    the timelike ground factor contributes -1/2, so the expected value is
+    exactly n.
+
+    On a window centred on 0 the sample is exactly point-symmetric and every
+    ratio equals its mirror's bit for bit: the sign cancels, and the stencils'
+    sums and z^2, t^2 do not depend on the order of the pair.  So only the
+    first ceil(n_z/2) rows are scanned, and ratios are formed only on the
+    rows above the centre and the left half of the centre row (the set H).
+    The median of H doubled is median(H); with the centre point x0, which
+    has no mirror, it is x0 clipped to H's two middle values.
     """
     if grid.dz > 0.05 or grid.dt > 0.05:
         raise ValueError("eigenvalue check needs grid spacing <= 0.05")
     psi = sample_wavefunction(OscillatorState(n, 0.0), grid).values
+    centred, (mid_z, mid_t) = _is_centred(grid), (grid.n_z // 2, grid.n_t // 2)
     rows, cols, points = np.zeros(grid.n_z, bool), np.zeros(grid.n_t, bool), 0
-    for block in _row_blocks(grid):   # interior rows, a block of them at a time
-        r, s = max(block.start, 1), min(block.stop, grid.n_z - 1)
-        big = np.abs(psi[r:s, 1:-1]) > 1e-3
-        rows[r:s], cols[1:-1], points = big.any(1), cols[1:-1] | big.any(0), points + big.sum()
+    # interior rows, a block of them at a time: on a centred window, the first half
+    for block in _row_blocks(grid, mid_z + grid.n_z % 2 if centred else grid.n_z - 1):
+        r = max(block.start, 1)
+        big = np.abs(psi[r:block.stop, 1:-1]) > 1e-3
+        rows[r:block.stop], cols[1:-1] = big.any(1), cols[1:-1] | big.any(0)
+        points += np.count_nonzero(big)
+    if centred:  # each scanned row stands for its mirror too, an odd n_z's centre row for itself
+        points = 2 * points - (np.count_nonzero(np.abs(psi[mid_z, 1:-1]) > 1e-3)
+                               if grid.n_z % 2 else 0)
     if points < 100:
         raise ValueError("too few points with |psi| > 1e-3 for a stable ratio")
+    # the box of the scanned rows: on a centred window the ratios need no other
     (r0, r1), (c0, c1) = (np.flatnonzero(x)[[0, -1]] + [0, 1] for x in (rows, cols))
-    zz, tt, box = grid.z_axis ** 2, grid.t_axis[c0:c1] ** 2, slice(c0, c1)
-    ratios, step = [], max(1, BLOCK_POINTS // (c1 - c0))
-    for r in range(r0, r1, step):   # the box's rows, a block of them at a time
-        s = min(r + step, r1)
-        core = psi[r:s, box]
-        d2z = (psi[r + 1:s + 1, box] - 2.0 * core + psi[r - 1:s - 1, box]) / grid.dz**2
-        d2t = (psi[r:s, c0 + 1:c1 + 1] - 2.0 * core + psi[r:s, c0 - 1:c1 - 1]) / grid.dt**2
-        operator = 0.5 * ((zz[r:s, None] - tt) * core - (d2z - d2t))
-        mask = np.abs(core) > 1e-3
-        ratios.append(operator[mask] / core[mask])
-    return float(np.median(np.concatenate(ratios), overwrite_input=True))
+    zz, tt = grid.z_axis ** 2, grid.t_axis ** 2
+
+    def ratios(r0: int, r1: int, c0: int, c1: int) -> list[np.ndarray]:
+        """The masked ratios on rows r0:r1 and columns c0:c1, a block of rows at a time."""
+        out, step, box = [], max(1, BLOCK_POINTS // (c1 - c0 + 1)), slice(c0, c1)
+        for r in range(r0, r1, step):
+            s = min(r + step, r1)
+            core = psi[r:s, box]
+            d2z = ((psi[r + 1:s + 1, box] + psi[r - 1:s - 1, box]) - 2.0 * core) / grid.dz**2
+            d2t = ((psi[r:s, c0 + 1:c1 + 1] + psi[r:s, c0 - 1:c1 - 1]) - 2.0 * core) / grid.dt**2
+            operator = 0.5 * ((zz[r:s, None] - tt[box]) * core - (d2z - d2t))
+            mask = np.abs(core) > 1e-3
+            out.append(operator[mask] / core[mask])
+        return out
+
+    if not centred:
+        return _mirrored_median(np.concatenate(ratios(r0, r1, c0, c1)), ())
+    odd = grid.n_z % 2  # then the centre row's left half is in H
+    h = np.concatenate(ratios(r0, mid_z, c0, c1) + ratios(mid_z, mid_z + odd, c0, mid_t))
+    return _mirrored_median(h, ratios(mid_z, mid_z + 1, mid_t, mid_t + 1)[0]
+                            if odd and grid.n_t % 2 else ())
+
+
+def _mirrored_median(h: np.ndarray, x0) -> float:
+    """np.median of h twice over plus x0 (no value or one), without the doubled array:
+    median(h) with no x0, else x0 clipped to h's two middle values.  Reorders h."""
+    if not len(x0):
+        return float(np.median(h, overwrite_input=True))
+    lo, hi = (len(h) - 1) // 2, len(h) // 2
+    h.partition([lo, hi])
+    return float(np.clip(x0[0], h[lo], h[hi]))
 
 
 def degeneracy(total: int) -> int:
     """Number of 3-D excitation triples summing to the given level."""
-    if not isinstance(total, numbers.Integral) or total < 0:
+    if not isinstance(total, numbers.Integral) or isinstance(total, bool) or total < 0:
         raise ValueError("level must be a nonnegative integer")
     return (total + 1) * (total + 2) // 2
 

@@ -49,8 +49,8 @@ def _check_excitation(n, what: str) -> None:
 
 
 def _check_rapidity(eta: float, what: str) -> None:
-    """Refuse a non-finite eta or one with |eta| > MAX_RAPIDITY."""
-    if not abs(eta) <= MAX_RAPIDITY:
+    """Refuse an eta that is not a finite real (_check_real), then one with |eta| > MAX_RAPIDITY."""
+    if not abs(_check_real(eta, f"{what} eta")) <= MAX_RAPIDITY:
         raise ValueError(f"{what} needs |eta| <= {MAX_RAPIDITY:g}")
 
 
@@ -163,8 +163,8 @@ class BeamSpec:
     mass: float = DEFAULT_PROTON_MASS_GEV
 
     def __post_init__(self):
-        if not (math.isfinite(self.energy) and math.isfinite(self.mass)):
-            raise ValueError("beam energy and mass must be finite")
+        _check_real(self.energy, "beam energy")
+        _check_real(self.mass, "beam mass")
         if not self.mass > 0:
             raise ValueError("mass must be positive")
         if self.energy < self.mass:

@@ -429,7 +429,7 @@ def test_coherence_runs_without_numpy(fmt):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["coherence", "--energy", "nan"], "beam energy and mass must be finite"),
+    (["coherence", "--energy", "nan"], "beam energy must be a finite real number"),
     (["contract", "--eta-max", "1e3"], "contract needs 0 < eta-max <= 350 and steps >= 1"),
     (["squeeze-plot", "--eta", "800"], "squeeze-plot needs |eta| <= 350"),
     (["fourier-check", "--eta", "800"], "fourier-check needs |eta| <= 350"),

@@ -51,9 +51,13 @@ def refuse_or_vouch(fn, *args):
 @given(rapidity, any_float, any_float)
 @example(800.0, 1.0, 1.0)           # OverflowError: OscillatorState(0, 800), covers_tails(800)
 @example(0.0, 1.6e131, 8.9e-178)    # energy / mass overflows: the beam rapidity read inf
+@example(None, 1.0, 1.0)            # OscillatorState(0, None), coherence_ratio(None): TypeError
+@example(0.0, 10**400, 1.0)         # BeamSpec(10**400, 1.0): OverflowError from math.isfinite
+@example(True, 1.0, 1.0)            # OscillatorState read True as eta = 1
 def test_every_rapidity_is_refused_or_vouched_for(eta, energy, mass):
     refuse_or_vouch(lambda: parton.rapidity_from_beam(parton.BeamSpec(energy, mass)))
-    refuse_or_vouch(osc.OscillatorState, 0, eta)
+    # a bool is no rapidity: refused, not read as 0 or 1
+    assert refuse_or_vouch(osc.OscillatorState, 0, eta) is None or not isinstance(eta, bool)
     refuse_or_vouch(osc.GridSpec.for_rapidity, eta, 16)
     refuse_or_vouch(SMALL_GRID.covers_tails, eta)
     refuse_or_vouch(lambda: osc.normalization(osc.OscillatorState(0, eta), SMALL_GRID))

@@ -325,6 +325,62 @@ def test_blocked_widths_equal_meshgrid_sum(n_z, n_t):
         assert got == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("grid", [
+    osc.GridSpec.for_rapidity(0.7, 257),            # odd n_z: the centre row counted once
+    osc.GridSpec.for_rapidity(2.4),                 # even n_z, the sweep's grid
+    osc.GridSpec(-5.0, 5.0, -4.0, 4.0, 301, 200),
+    osc.GridSpec(-5.0, 5.0, -4.0, 4.0, 200, 301),
+])
+def test_half_grid_widths_equal_meshgrid_sum(grid, n):
+    eta = 0.7 if grid.n_z == grid.n_t else -0.4
+    field = osc.sample_wavefunction(osc.OscillatorState(n, eta), grid)
+    assert osc._parity(field.values) == (-1) ** n  # so the half grid is summed
+    got, want = osc.lightcone_widths(field), meshgrid_widths(field)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_centred_field_without_exact_parity_takes_the_full_path():
+    grid = osc.GridSpec.for_rapidity(0.5, 201)
+    state = osc.sample_wavefunction(osc.OscillatorState(2, 0.5), grid).values
+    nudged = state.copy()
+    nudged[150, 120] += 0.5  # one sample past the centre row, whose mirror keeps its value
+    rng = np.random.default_rng(3)
+    for values in (nudged, rng.normal(size=state.shape)):
+        field = osc.ScalarField(grid, values, None, osc.SPACE_TIME)
+        assert osc._parity(values) == 0
+        got, want = osc.lightcone_widths(field), meshgrid_widths(field)
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_widths_skip_dead_columns_whose_square_overflows():
+    # u^2 and v^2 overflow at every |t| > 0, where the field is 0: those columns are
+    # not reduced, so the widths are finite (a full sum read inf * 0 = NaN and refused)
+    grid = osc.GridSpec(-1.0, 1.0, -1e160, 1e160, 16, 17)
+    values = np.zeros((16, 17))
+    values[:, 8] = np.exp(-grid.z_axis**2)  # the t = 0 column
+    wz, _ = grid.trapezoid_weights()
+    power = wz * values[:, 8] ** 2
+    want = math.sqrt(float(np.sum(grid.z_axis**2 / 2 * power) / np.sum(power)))
+    got = osc.lightcone_widths(osc.ScalarField(grid, values, None, osc.SPACE_TIME))
+    assert got == pytest.approx((want, want), rel=1e-15)
+
+
+@pytest.mark.parametrize("eta, blocks", [(0.0, 6), (4.0, 2)])
+def test_widths_memory(eta, blocks):
+    # a block is BLOCK_POINTS samples; the full grid walk peaked at 6.3 of them at every
+    # eta.  The half grid holds about 5.4 at eta = 0, and at eta = 4 the live columns
+    # of a block are a few of its 512
+    field = osc.sample_wavefunction(osc.OscillatorState(4, eta), osc.GridSpec.for_rapidity(eta))
+    tracemalloc.start()
+    try:
+        osc.lightcone_widths(field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= blocks * osc.BLOCK_POINTS * 8
+
+
 def test_real_field_transform_matches_complex_path():
     field = osc.sample_wavefunction(osc.OscillatorState(2, 0.9),
                                     osc.GridSpec.for_rapidity(0.9, 200))

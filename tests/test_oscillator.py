@@ -377,11 +377,12 @@ def test_eigenvalue_spacing_guard():
 
 
 def full_grid_eigenvalue(n, grid):
-    """The ratio from stencils over the whole interior, masked afterwards."""
+    """The ratio from stencils over the whole interior, masked afterwards.  Each stencil
+    is ((psi[+1] + psi[-1]) - 2 psi), whose value does not depend on the pair's order."""
     psi = osc.sample_wavefunction(osc.OscillatorState(n, 0.0), grid).values
     core = psi[1:-1, 1:-1]
-    d2z = (psi[2:, 1:-1] - 2.0 * core + psi[:-2, 1:-1]) / grid.dz**2
-    d2t = (psi[1:-1, 2:] - 2.0 * core + psi[1:-1, :-2]) / grid.dt**2
+    d2z = ((psi[2:, 1:-1] + psi[:-2, 1:-1]) - 2.0 * core) / grid.dz**2
+    d2t = ((psi[1:-1, 2:] + psi[1:-1, :-2]) - 2.0 * core) / grid.dt**2
     form = grid.z_axis[1:-1, None] ** 2 - grid.t_axis[1:-1] ** 2
     operator = 0.5 * (form * core - (d2z - d2t))
     mask = np.abs(core) > 1e-3
@@ -399,6 +400,49 @@ def test_eigenvalue_equals_full_grid_stencil(n, grid):
     assert osc.eigenvalue_check(n, grid) == full_grid_eigenvalue(n, grid)
 
 
+@pytest.mark.parametrize("grid", [
+    osc.GridSpec(-6.0, 6.0, -6.0, 6.0, 241, 241),  # n_z and n_t odd: the centre point x0
+    osc.GridSpec(-6.0, 6.0, -6.0, 6.0, 250, 250),  # both even: no centre row or point
+    osc.GridSpec(-5.0, 5.0, -6.0, 6.0, 201, 260),  # odd n_z: the centre row's left half
+    osc.GridSpec(-6.0, 6.0, -5.0, 5.0, 260, 201),  # odd n_t only
+    osc.GridSpec(-6.0, 6.0, -6.0, 5.5, 241, 231),  # t off-centre: the full walk
+    osc.GridSpec(-5.5, 6.0, -6.0, 6.0, 231, 241),  # z off-centre
+])
+def test_half_grid_eigenvalue_equals_full_grid_stencil(grid):
+    for n in range(12):
+        assert osc.eigenvalue_check(n, grid) == full_grid_eigenvalue(n, grid), n
+
+
+@pytest.mark.parametrize("n, grid, points", [
+    (0, osc.GridSpec(-0.375, 0.375, -0.375, 0.375, 16, 16), 196),  # 98 in the scanned half
+    (1, osc.GridSpec(-0.003, 0.003, -0.375, 0.375, 17, 16), 112),  # 56, the centre row none
+    (1, osc.GridSpec(-0.002, 0.002, -0.375, 0.375, 17, 16), 56),
+])
+def test_eigenvalue_guard_counts_both_halves(n, grid, points):
+    psi = osc.sample_wavefunction(osc.OscillatorState(n, 0.0), grid).values
+    assert np.count_nonzero(np.abs(psi[1:-1, 1:-1]) > 1e-3) == points
+    if points < 100:
+        with pytest.raises(ValueError, match="too few points"):
+            osc.eigenvalue_check(n, grid)
+    else:
+        assert osc.eigenvalue_check(n, grid) == full_grid_eigenvalue(n, grid)
+
+
+@pytest.mark.parametrize("size", [7, 8])
+def test_mirrored_median_is_the_median_of_the_doubled_multiset(size):
+    h = np.random.default_rng(size).normal(size=size)
+    s = np.sort(h)
+    lo, hi = s[(size - 1) // 2], s[size // 2]
+    between = 0.5 * (lo + hi)
+    for x0, want in [((), None), ([s[0] - 1.0], lo), ([lo], lo), ([between], between),
+                     ([hi], hi), ([s[-1] + 1.0], hi)]:
+        doubled = np.concatenate([h, h, np.asarray(x0, float)])
+        got = osc._mirrored_median(h.copy(), x0)
+        assert got == float(np.median(doubled)), x0
+        assert want is None or got == want  # below, between and above the middle pair
+    assert lo < between < hi or size % 2  # an even h has two middle values to lie between
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_eigenvalue_check_memory(n):
     # the benchmark's grid: 601^2 at h = 0.02, a 2.8 MiB field
@@ -410,6 +454,8 @@ def test_eigenvalue_check_memory(n):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+    # the full walk peaked at 1.67 to 1.98 fields (n = 0..4), the half grid at 1.28 to 1.56
+    assert peak <= 1.65 * grid.n_z * grid.n_t * 8
 
 
 def test_eigenvalue_degenerate_window():
@@ -472,5 +518,6 @@ def test_degeneracy_matches_enumeration():
 
 
 def test_degeneracy_rejects_negative():
-    with pytest.raises(ValueError):
-        osc.degeneracy(-1)
+    for level in (-1, True, False):  # a bool is no level: True once read as level 1
+        with pytest.raises(ValueError, match="^level must be a nonnegative integer$"):
+            osc.degeneracy(level)

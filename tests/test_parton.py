@@ -45,6 +45,27 @@ def test_beam_validation():
         parton.BeamSpec(1.0, 0.0)
 
 
+@pytest.mark.parametrize("eta", [None, "1.0", True, math.nan, -math.inf,
+                                 pytest.param(10**400, id="10**400")])
+def test_rapidity_laws_refuse_what_is_not_a_finite_real(eta):
+    for law in (parton.period_dilation, parton.interaction_time_contraction,
+                parton.coherence_ratio, parton.marginal_variance):
+        with pytest.raises(ValueError, match=f"^{law.__name__} eta must be a finite real number$"):
+            law(eta)
+    with pytest.raises(ValueError, match=r"^coherence_ratio needs \|eta\| <= 350$"):
+        parton.coherence_ratio(350.5)  # a finite real past the bound keeps its message
+
+
+@pytest.mark.parametrize("energy, mass, what", [
+    (math.nan, 0.938, "energy"), pytest.param(10**400, 1.0, "energy", id="10**400-1.0-energy"),
+    (None, 1.0, "energy"),
+    (1.0, math.inf, "mass"), (1.0, True, "mass"), (2.0, "1.0", "mass"),
+])
+def test_beam_refuses_what_is_not_a_finite_real(energy, mass, what):
+    with pytest.raises(ValueError, match=f"^beam {what} must be a finite real number$"):
+        parton.BeamSpec(energy, mass)
+
+
 def test_dilation_and_contraction():
     assert parton.period_dilation(0.0) == 1.0
     assert parton.interaction_time_contraction(0.0) == 1.0
